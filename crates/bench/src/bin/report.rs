@@ -997,7 +997,7 @@ fn e14_obs(full: bool, checks: &mut Checks, rec: &mut Recorder) {
     );
     checks.check(
         "e14_rs_counters_nonzero",
-        corrected > 0 && dstats.corrected_symbols > 0,
+        corrected > 0 && dstats.rs_corrected > 0,
         format!("damage run surfaces RS work: {corrected} corrected symbols (> 0)"),
     );
 
@@ -1060,10 +1060,9 @@ fn e14_obs(full: bool, checks: &mut Checks, rec: &mut Recorder) {
     let json = trace.to_json();
     std::fs::write("BENCH_trace.json", &json).expect("write BENCH_trace.json");
     println!(
-        "  trace json: BENCH_trace.json ({} spans, {} counters, {} gauges)",
+        "  trace json: BENCH_trace.json ({} spans, {} counters)",
         trace.spans.len(),
-        trace.counters.len(),
-        trace.gauges.len()
+        trace.counters.len()
     );
     println!("  span-tree profile:");
     for line in trace.render().lines() {

@@ -121,13 +121,9 @@ impl From<VmError> for RestoreError {
 pub struct RestoreStats {
     pub scans: usize,
     pub emblems_recovered: usize,
-    pub rs_corrected: usize,
     /// Symbol positions fixed by the inner Reed–Solomon code across every
-    /// decoded frame. On the full native path this mirrors
-    /// [`RestoreStats::rs_corrected`]; on the selective path
-    /// ([`MicrOlonys::restore_frames`]) it surfaces the per-frame
-    /// correction counts that were previously dropped on the floor.
-    pub corrected_symbols: usize,
+    /// decoded frame, on the full native and the selective path alike.
+    pub rs_corrected: usize,
     /// Frame slots (data *and* parity) the outer code had to treat as
     /// erasures during recovery — the decode-health signal behind
     /// [`RestoreStats::emblems_recovered`], which only counts the data
@@ -221,7 +217,6 @@ impl MicrOlonys {
                 scans: s.scans,
                 emblems_recovered: s.emblems_recovered,
                 rs_corrected: s.rs_corrected,
-                corrected_symbols: s.rs_corrected,
                 erasure_frames: s.erasure_frames,
                 archive_bytes: archive.len(),
                 ..Default::default()
@@ -247,57 +242,15 @@ impl MicrOlonys {
         &self,
         scans: &[(usize, &GrayImage)],
     ) -> Result<Vec<(usize, Vec<u8>)>, RestoreError> {
-        self.restore_frames_traced(scans, &Telemetry::off())
-            .map(|(out, _)| out)
-    }
-
-    /// [`MicrOlonys::restore_frames`] that also returns the per-frame
-    /// decode health the payload-only surface drops: a [`RestoreStats`]
-    /// whose `corrected_symbols` aggregates the inner-RS fixes of every
-    /// selectively decoded frame, plus frames-requested/decoded counters
-    /// on the telemetry recorder.
-    pub fn restore_frames_traced(
-        &self,
-        scans: &[(usize, &GrayImage)],
-        tel: &Telemetry,
-    ) -> Result<(Vec<(usize, Vec<u8>)>, RestoreStats), RestoreError> {
-        let _span = tel.span("restore.selective");
-        let geom = self.medium.geometry;
-        let results =
-            ule_par::map(
-                self.threads,
-                scans,
-                |(expect, scan)| match ule_emblem::decode_emblem(&geom, scan) {
-                    Ok((h, payload, ds)) if h.index as usize == *expect => {
-                        Ok((*expect, payload, ds.rs_corrected))
-                    }
-                    _ => Err(*expect),
-                },
-            );
-        let mut stats = RestoreStats {
-            scans: scans.len(),
-            ..Default::default()
-        };
+        let (outcomes, _) = self.restore_frames_traced(scans, &Telemetry::off());
         let mut out = Vec::with_capacity(scans.len());
         let mut missing = Vec::new();
-        for r in results {
-            match r {
-                Ok((idx, payload, fixed)) => {
-                    stats.rs_corrected += fixed;
-                    stats.corrected_symbols += fixed;
-                    stats.archive_bytes += payload.len();
-                    if fixed > 0 {
-                        tel.add("decode.frames_corrected", 1);
-                    }
-                    out.push((idx, payload));
-                }
-                Err(idx) => missing.push(idx),
+        for (&(idx, _), payload) in scans.iter().zip(outcomes) {
+            match payload {
+                Some(payload) => out.push((idx, payload)),
+                None => missing.push(idx),
             }
         }
-        tel.add("selective.frames_requested", scans.len() as u64);
-        tel.add("selective.frames_decoded", out.len() as u64);
-        tel.add("selective.frames_failed", missing.len() as u64);
-        tel.add("decode.corrected_symbols", stats.corrected_symbols as u64);
         if !missing.is_empty() {
             return Err(RestoreError::FrameLoss {
                 kind: EmblemKind::Data,
@@ -306,7 +259,58 @@ impl MicrOlonys {
                 missing,
             });
         }
-        Ok((out, stats))
+        Ok(out)
+    }
+
+    /// [`MicrOlonys::restore_frames`] with one outcome per pick instead
+    /// of an all-or-nothing result: `Some(payload)` for every scan that
+    /// decoded to its expected global index, `None` for the rest, in
+    /// input order — so a caller that can rebuild the failed frames keeps
+    /// the good payloads and decodes only the rebuilt ones. Also returns
+    /// the per-frame decode health: a [`RestoreStats`] whose
+    /// `rs_corrected` aggregates the inner-RS fixes of every decoded
+    /// frame, plus frames-requested/decoded counters on the telemetry
+    /// recorder.
+    pub fn restore_frames_traced(
+        &self,
+        scans: &[(usize, &GrayImage)],
+        tel: &Telemetry,
+    ) -> (Vec<Option<Vec<u8>>>, RestoreStats) {
+        let _span = tel.span("restore.selective");
+        let geom = self.medium.geometry;
+        let results =
+            ule_par::map(
+                self.threads,
+                scans,
+                |(expect, scan)| match ule_emblem::decode_emblem(&geom, scan) {
+                    Ok((h, payload, ds)) if h.index as usize == *expect => {
+                        Some((payload, ds.rs_corrected))
+                    }
+                    _ => None,
+                },
+            );
+        let mut stats = RestoreStats {
+            scans: scans.len(),
+            ..Default::default()
+        };
+        let outcomes: Vec<Option<Vec<u8>>> = results
+            .into_iter()
+            .map(|r| {
+                let (payload, fixed) = r?;
+                stats.rs_corrected += fixed;
+                stats.archive_bytes += payload.len();
+                if fixed > 0 {
+                    tel.add("decode.frames_corrected", 1);
+                }
+                Some(payload)
+            })
+            .collect();
+        let decoded = outcomes.iter().flatten().count();
+        tel.add("selective.frames_requested", scans.len() as u64);
+        tel.add("selective.frames_decoded", decoded as u64);
+        tel.add("selective.frames_failed", (scans.len() - decoded) as u64);
+        tel.add("decode.corrected_symbols", stats.rs_corrected as u64);
+        (outcomes, stats)
     }
 
     /// Verify that scanned system emblems really carry the DBDecode

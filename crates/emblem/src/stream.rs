@@ -328,10 +328,6 @@ pub fn decode_stream_traced(
         }
     }
     tel.add("decode.clean_frames", clean_frames);
-    tel.gauge(
-        "decode.clean_frame_ratio",
-        clean_frames as f64 / decoded.len() as f64,
-    );
 
     let cap = geom.payload_capacity();
     let n_chunks = (total_len as usize).div_ceil(cap).max(1);

@@ -297,7 +297,7 @@ impl RsCode {
 
     /// Like [`RsCode::decode`], but returns the corrected byte *positions*
     /// rather than just their count. This is the decode-health surface the
-    /// telemetry layer records (`RestoreStats::corrected_symbols` and the
+    /// telemetry layer records (`RestoreStats::rs_corrected` and the
     /// E14 counters): the Chien search already finds these indices, so
     /// exposing them costs nothing the count-only path was not paying.
     ///

@@ -4,14 +4,17 @@
 //! after it was written. The pipeline already computes the signals that
 //! make that possible — RS corrected-symbol counts, clean-frame fast-path
 //! hits, zone-prune decisions, guest VM fuel — and this crate is where
-//! they stop being dropped on the floor. It provides three primitives:
+//! they stop being dropped on the floor. It provides two primitives:
 //!
 //! - **spans** — hierarchical wall-clock timings keyed by dot-separated
 //!   paths (`"archive.compress"` is a child of `"archive"`); repeated
 //!   entries aggregate into call counts plus total nanoseconds;
-//! - **counters** — named monotonic `u64` sums (`"decode.corrected_symbols"`);
-//! - **gauges** — named `f64` last-write-wins readings
-//!   (`"decode.clean_frame_ratio"`).
+//! - **counters** — named monotonic `u64` sums (`"decode.corrected_symbols"`).
+//!
+//! Ratios are derived from counters at read time rather than recorded:
+//! the clean-frame share of a trace is `decode.clean_frames /
+//! (decode.clean_frames + decode.frames_corrected)`, which stays correct
+//! however many decode calls one recorder spans.
 //!
 //! Two properties are load-bearing and pinned by tests:
 //!
@@ -52,7 +55,6 @@ pub struct SpanAgg {
 struct TraceData {
     spans: BTreeMap<String, SpanAgg>,
     counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, f64>,
 }
 
 #[derive(Default)]
@@ -119,14 +121,6 @@ impl Telemetry {
         }
     }
 
-    /// Set the gauge at `name` to `v` (last write wins).
-    pub fn gauge(&self, name: &str, v: f64) {
-        if let Some(sink) = &self.sink {
-            let mut data = sink.data.lock().unwrap();
-            data.gauges.insert(name.to_string(), v);
-        }
-    }
-
     /// Record a span's aggregate directly, without a guard. This is the
     /// merge primitive `absorb` uses; it is public so callers that time a
     /// region themselves can fold it in.
@@ -154,8 +148,7 @@ impl Telemetry {
     }
 
     /// Merge `shards` into this recorder, in the order given. Counters
-    /// and span aggregates are commutative sums; gauges are last-write-
-    /// wins, which the fixed order makes deterministic.
+    /// and span aggregates are commutative sums.
     pub fn absorb(&self, shards: Vec<Telemetry>) {
         let Some(sink) = &self.sink else { return };
         let mut data = sink.data.lock().unwrap();
@@ -171,9 +164,6 @@ impl Telemetry {
             }
             for (name, n) in &shard_data.counters {
                 *data.counters.entry(name.clone()).or_insert(0) += n;
-            }
-            for (name, v) in &shard_data.gauges {
-                data.gauges.insert(name.clone(), *v);
             }
         }
     }
@@ -200,7 +190,6 @@ impl Telemetry {
                 Trace {
                     spans: data.spans.clone(),
                     counters: data.counters.clone(),
-                    gauges: data.gauges.clone(),
                 }
             }
         }
@@ -226,16 +215,14 @@ impl Drop for SpanGuard {
     }
 }
 
-/// An immutable snapshot of a recorder: spans, counters and gauges,
-/// each in deterministic (sorted-name) order.
+/// An immutable snapshot of a recorder: spans and counters, each in
+/// deterministic (sorted-name) order.
 #[derive(Clone, Debug, Default)]
 pub struct Trace {
     /// Aggregated spans keyed by dot path.
     pub spans: BTreeMap<String, SpanAgg>,
     /// Monotonic counters.
     pub counters: BTreeMap<String, u64>,
-    /// Last-write-wins gauges.
-    pub gauges: BTreeMap<String, f64>,
 }
 
 /// Escape a string for embedding in a JSON document.
@@ -282,21 +269,12 @@ impl Trace {
             first = false;
             out.push_str(&format!("\n    \"{}\": {}", json_escape(name), n));
         }
-        out.push_str("\n  },\n  \"gauges\": {");
-        first = true;
-        for (name, v) in &self.gauges {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!("\n    \"{}\": {:.6}", json_escape(name), v));
-        }
         out.push_str("\n  }\n}\n");
         out
     }
 
     /// Human-readable profile: the span tree (indentation from dot
-    /// depth), then counters, then gauges.
+    /// depth), then counters.
     pub fn render(&self) -> String {
         // A span's dot-path ancestors may never have been recorded
         // themselves (`restore.native` with no `restore` span); emit a
@@ -341,12 +319,6 @@ impl Trace {
                 out.push_str(&format!("  {name} = {n}\n"));
             }
         }
-        if !self.gauges.is_empty() {
-            out.push_str("gauges:\n");
-            for (name, v) in &self.gauges {
-                out.push_str(&format!("  {name} = {v:.4}\n"));
-            }
-        }
         out
     }
 }
@@ -363,9 +335,8 @@ mod tests {
             let _g = tel.span("archive");
         }
         tel.add("decode.frames", 3);
-        tel.gauge("ratio", 0.5);
         let t = tel.snapshot();
-        assert!(t.spans.is_empty() && t.counters.is_empty() && t.gauges.is_empty());
+        assert!(t.spans.is_empty() && t.counters.is_empty());
         assert_eq!(tel.counter("decode.frames"), 0);
     }
 
@@ -382,13 +353,10 @@ mod tests {
         }
         tel.add("decode.frames", 2);
         tel.add("decode.frames", 5);
-        tel.gauge("ratio", 0.25);
-        tel.gauge("ratio", 0.75);
         let t = tel.snapshot();
         assert_eq!(t.spans["scan.decode"].calls, 3);
         assert_eq!(t.counters["decode.frames"], 7);
         assert_eq!(tel.counter("decode.frames"), 7);
-        assert_eq!(t.gauges["ratio"], 0.75);
     }
 
     #[test]
@@ -425,7 +393,6 @@ mod tests {
             for &i in &order {
                 shards[i].add("decode.corrected", (i as u64 + 1) * 10);
                 shards[i].span_record("scan.decode", 1, 1_000 * (i as u64 + 1));
-                shards[i].gauge("last_index", i as f64);
             }
             tel.absorb(shards);
             tel.snapshot()
@@ -434,12 +401,9 @@ mod tests {
         let b = run(true);
         assert_eq!(a.counters, b.counters);
         assert_eq!(a.spans, b.spans);
-        assert_eq!(a.gauges, b.gauges);
         assert_eq!(a.counters["decode.corrected"], 60);
         assert_eq!(a.spans["scan.decode"].calls, 3);
         assert_eq!(a.spans["scan.decode"].wall_ns, 6_000);
-        // Gauge: shard 2 wrote last in merge order both times.
-        assert_eq!(a.gauges["last_index"], 2.0);
     }
 
     #[test]
@@ -464,11 +428,10 @@ mod tests {
         tel.span_record("archive", 1, 2_000_000);
         tel.span_record("archive.compress", 1, 1_000_000);
         tel.add("codec.bytes_in", 100);
-        tel.gauge("decode.clean_frame_ratio", 1.0);
         let json = tel.snapshot().to_json();
         assert!(json.contains("\"name\": \"archive.compress\""));
         assert!(json.contains("\"codec.bytes_in\": 100"));
-        assert!(json.contains("\"decode.clean_frame_ratio\": 1.000000"));
+        assert!(!json.contains("gauges"), "{json}");
         // Minimal structural sanity: balanced braces/brackets.
         assert_eq!(
             json.matches('{').count(),

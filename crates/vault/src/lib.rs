@@ -11,10 +11,10 @@
 //!    chunk/frame range` is written on the medium as its own emblem
 //!    stream ([`ule_emblem::EmblemKind::Index`]);
 //! 2. **selective restore** — [`Vault::restore_table`] decodes only the
-//!    frames the index names (via [`MicrOlonys::restore_frames`], fanned
-//!    over `ule_par`) and returns bytes identical to the corresponding
-//!    slice of a full restore. A damaged index degrades to the full-scan
-//!    path, never to wrong bytes;
+//!    frames the index names (via [`MicrOlonys::restore_frames_traced`],
+//!    fanned over `ule_par`) and returns bytes identical to the
+//!    corresponding slice of a full restore. A damaged index degrades to
+//!    the full-scan path, never to wrong bytes;
 //! 3. **multi-reel sharding with cross-reel parity** — the frame
 //!    sequence is split into reels of `reel_capacity` frames, and every
 //!    group of `data_reels` content reels gets `parity_reels` RS parity
@@ -67,7 +67,7 @@ use ule_emblem::stream::{chunk_global_index, StreamError, GROUP_DATA, GROUP_PARI
 use ule_emblem::{
     decode_emblem, decode_stream_traced, encode_emblem, encode_stream_with, EmblemKind,
 };
-use ule_gf256::crc::crc32;
+use ule_gf256::crc::{crc32, crc32_update};
 use ule_gf256::RsCode;
 use ule_obs::Telemetry;
 use ule_raster::GrayImage;
@@ -736,7 +736,7 @@ impl Vault {
             let mut stats = VaultRestoreStats::new(RestorePath::Classic, scans.len());
             stats.frames_decoded = scans.len();
             let (dump, r) = self.system.restore_native_traced(&scans, &self.telemetry)?;
-            stats.corrected_symbols = r.corrected_symbols;
+            stats.corrected_symbols = r.rs_corrected;
             stats.erasure_frames = r.erasure_frames;
             return Ok((dump, stats));
         };
@@ -751,7 +751,8 @@ impl Vault {
     /// only the frames the content index maps it to. The returned bytes
     /// are identical to the same slice of [`Vault::restore_all`]'s dump —
     /// a damaged index or damaged data frames degrade to the full-scan
-    /// fallback, never to different bytes.
+    /// fallback, never to different bytes. This is the unpruned
+    /// [`Vault::query_table`] scan, concatenated.
     pub fn restore_table(
         &self,
         bootstrap: &Bootstrap,
@@ -759,70 +760,8 @@ impl Vault {
         table: &str,
     ) -> Result<(Vec<u8>, VaultRestoreStats), VaultError> {
         let _span = self.telemetry.span("vault.restore_table");
-        let Some(manifest) = &bootstrap.vault else {
-            // Classic archive: restore everything, then segment the dump
-            // to find the table.
-            let (dump, mut stats) = self.restore_all(bootstrap, reels)?;
-            let seg = find_segment(&dump, table)
-                .ok_or_else(|| VaultError::UnknownTable(table.to_string()))?;
-            stats.path = RestorePath::Classic;
-            return Ok((dump[seg.start..seg.start + seg.len].to_vec(), stats));
-        };
-        let layout = self.layout_of(bootstrap, manifest);
-        let mut stats = VaultRestoreStats::new(RestorePath::Selective, layout.data_frames());
-        let mut source = FrameSource::new(layout, reels)?;
-
-        // Step 1: the catalog. Unusable index (beyond its own RS budget,
-        // CRC mismatch, parse failure) falls back to the full scan.
-        let index = match self.read_index(manifest, &mut source, &mut stats) {
-            Ok(index) => index,
-            Err(VaultError::ReelLoss {
-                group,
-                lost,
-                recoverable,
-            }) => {
-                // Reel-level loss beyond parity is not an index problem;
-                // a full scan cannot help either.
-                return Err(VaultError::ReelLoss {
-                    group,
-                    lost,
-                    recoverable,
-                });
-            }
-            Err(_) => {
-                stats.index_fallback = true;
-                stats.path = RestorePath::Full;
-                let dump = self.full_restore(&mut source, &mut stats)?;
-                let seg = find_segment(&dump, table)
-                    .ok_or_else(|| VaultError::UnknownTable(table.to_string()))?;
-                return Ok((dump[seg.start..seg.start + seg.len].to_vec(), stats));
-            }
-        };
-        let entry = index
-            .find(table)
-            .ok_or_else(|| VaultError::UnknownTable(table.to_string()))?
-            .clone();
-
-        // Step 2: decode exactly the chunks the catalog names.
-        match self.restore_record(&index, &entry, &mut source, &mut stats) {
-            Ok(bytes) => Ok((bytes, stats)),
-            Err(e @ VaultError::ReelLoss { .. }) => Err(e),
-            Err(_) => {
-                // Damaged frames inside the range: escalate to the full
-                // scan, which brings the outer code to bear.
-                stats.path = RestorePath::SelectiveFallback;
-                let dump = self.full_restore(&mut source, &mut stats)?;
-                let start = entry.dump_start as usize;
-                let len = entry.dump_len as usize;
-                if start + len > dump.len() {
-                    return Err(VaultError::ShapeMismatch(format!(
-                        "catalog names dump range {start}+{len}, dump holds {} bytes",
-                        dump.len()
-                    )));
-                }
-                Ok((dump[start..start + len].to_vec(), stats))
-            }
-        }
+        let (scan, stats) = self.read_table(bootstrap, reels, table, &ZonePredicate::all())?;
+        Ok((scan.concat(), stats))
     }
 
     /// Streaming query scan of one table: the dump bytes a query needs,
@@ -833,9 +772,10 @@ impl Vault {
     /// only — callers re-apply their exact predicate to every row — so a
     /// pruned scan answers queries identically to an unpruned one.
     ///
-    /// Every fallback of [`Vault::restore_table`] exists here too
-    /// (classic archives, unusable index, damaged frames): each degrades
-    /// to an unpruned single-piece scan, never to different bytes.
+    /// The fallbacks are shared with [`Vault::restore_table`] and
+    /// [`Vault::list_tables`] (classic archives, unusable index, damaged
+    /// frames): each degrades to an unpruned single-piece scan, never to
+    /// different bytes.
     pub fn query_table(
         &self,
         bootstrap: &Bootstrap,
@@ -844,57 +784,101 @@ impl Vault {
         pred: &ZonePredicate,
     ) -> Result<(TableScan, QueryStats), VaultError> {
         let _span = self.telemetry.span("vault.query_table");
+        let (scan, stats) = self.read_table(bootstrap, reels, table, pred)?;
+        Ok(self.finish_query(scan, stats))
+    }
+
+    /// Table names readable from the medium's index stream (plus which
+    /// restore path reading them took). An unusable index degrades to
+    /// the full scan, whose dump is segmented for the names instead.
+    pub fn list_tables(
+        &self,
+        bootstrap: &Bootstrap,
+        reels: &ReelScans,
+    ) -> Result<(Vec<String>, VaultRestoreStats), VaultError> {
+        let (catalog, stats) = self.open_catalog(bootstrap, reels)?;
+        let names = match catalog {
+            Catalog::Index(index, _) => index.tables().iter().map(|t| t.to_string()).collect(),
+            Catalog::Dump(dump) => segment_dump(&dump)
+                .into_iter()
+                .filter(|s| s.is_table())
+                .map(|s| s.name)
+                .collect(),
+        };
+        Ok((names, stats))
+    }
+
+    /// The catalog step of the read ladder every catalog reader shares.
+    /// Rung 1: a classic archive has no index, so it restores in full.
+    /// Rung 2: an unusable index (beyond its own RS budget, CRC mismatch,
+    /// parse or shape failure) falls back to the full scan. Reel-level
+    /// loss beyond parity is not an index problem — a full scan cannot
+    /// help either — so it propagates unchanged.
+    fn open_catalog<'a>(
+        &self,
+        bootstrap: &Bootstrap,
+        reels: &'a ReelScans,
+    ) -> Result<(Catalog<'a>, VaultRestoreStats), VaultError> {
         let Some(manifest) = &bootstrap.vault else {
-            // Pre-S16 archive: classic full restore, one unpruned piece.
-            let (dump, mut stats) = self.restore_all(bootstrap, reels)?;
-            let seg = find_segment(&dump, table)
-                .ok_or_else(|| VaultError::UnknownTable(table.to_string()))?;
-            stats.path = RestorePath::Classic;
-            let scan = TableScan::whole(
-                seg.start as u64,
-                dump[seg.start..seg.start + seg.len].to_vec(),
-            );
-            return Ok(self.finish_query(scan, stats));
+            let (dump, stats) = self.restore_all(bootstrap, reels)?;
+            return Ok((Catalog::Dump(dump), stats));
         };
         let layout = self.layout_of(bootstrap, manifest);
         let mut stats = VaultRestoreStats::new(RestorePath::Selective, layout.data_frames());
         let mut source = FrameSource::new(layout, reels)?;
-        let index = match self.read_index(manifest, &mut source, &mut stats) {
-            Ok(index) => index,
-            Err(e @ VaultError::ReelLoss { .. }) => return Err(e),
+        match self.read_index(manifest, &mut source, &mut stats) {
+            Ok(index) => Ok((Catalog::Index(index, source), stats)),
+            Err(e @ VaultError::ReelLoss { .. }) => Err(e),
             Err(_) => {
                 stats.index_fallback = true;
                 stats.path = RestorePath::Full;
                 let dump = self.full_restore(&mut source, &mut stats)?;
-                let seg = find_segment(&dump, table)
-                    .ok_or_else(|| VaultError::UnknownTable(table.to_string()))?;
-                let scan = TableScan::whole(
-                    seg.start as u64,
-                    dump[seg.start..seg.start + seg.len].to_vec(),
-                );
-                return Ok(self.finish_query(scan, stats));
+                Ok((Catalog::Dump(dump), stats))
+            }
+        }
+    }
+
+    /// The table step of the read ladder, under [`Vault::restore_table`]
+    /// and [`Vault::query_table`]: scan the table's catalogued range
+    /// through `pred`, or find its segment in the dump the catalog step
+    /// fell back to. Rung 3: damaged frames inside the range that even a
+    /// per-frame rebuild cannot save escalate to the full scan, which
+    /// brings the outer code to bear, and the catalog's range is cut out
+    /// of the result.
+    fn read_table(
+        &self,
+        bootstrap: &Bootstrap,
+        reels: &ReelScans,
+        table: &str,
+        pred: &ZonePredicate,
+    ) -> Result<(TableScan, VaultRestoreStats), VaultError> {
+        let unknown = || VaultError::UnknownTable(table.to_string());
+        let (index, mut source, mut stats) = match self.open_catalog(bootstrap, reels)? {
+            (Catalog::Index(index, source), stats) => (index, source, stats),
+            (Catalog::Dump(dump), stats) => {
+                let seg = find_segment(&dump, table).ok_or_else(unknown)?;
+                let bytes = dump[seg.start..seg.start + seg.len].to_vec();
+                return Ok((TableScan::whole(seg.start as u64, bytes), stats));
             }
         };
-        let entry = index
-            .find(table)
-            .ok_or_else(|| VaultError::UnknownTable(table.to_string()))?
-            .clone();
-        match self.scan_entry(&index, &entry, pred, &mut source, &mut stats) {
-            Ok(scan) => Ok(self.finish_query(scan, stats)),
+        let entry = index.find(table).ok_or_else(unknown)?;
+        match self.scan_entry(&index, entry, pred, &mut source, &mut stats) {
+            Ok(scan) => Ok((scan, stats)),
             Err(e @ VaultError::ReelLoss { .. }) => Err(e),
             Err(_) => {
                 stats.path = RestorePath::SelectiveFallback;
                 let dump = self.full_restore(&mut source, &mut stats)?;
-                let start = entry.dump_start as usize;
-                let len = entry.dump_len as usize;
-                if start + len > dump.len() {
-                    return Err(VaultError::ShapeMismatch(format!(
-                        "catalog names dump range {start}+{len}, dump holds {} bytes",
-                        dump.len()
-                    )));
-                }
-                let scan = TableScan::whole(entry.dump_start, dump[start..start + len].to_vec());
-                Ok(self.finish_query(scan, stats))
+                let (start, len) = (entry.dump_start as usize, entry.dump_len as usize);
+                let bytes = start
+                    .checked_add(len)
+                    .and_then(|end| dump.get(start..end))
+                    .ok_or_else(|| {
+                        VaultError::ShapeMismatch(format!(
+                            "catalog names dump range {start}+{len}, dump holds {} bytes",
+                            dump.len()
+                        ))
+                    })?;
+                Ok((TableScan::whole(entry.dump_start, bytes.to_vec()), stats))
             }
         }
     }
@@ -916,7 +900,8 @@ impl Vault {
     /// (structural zones — header and terminator — always qualify),
     /// decode only the chunks those zones touch, unwrap each zone's
     /// sub-record. When nothing was pruned the whole-segment catalog CRC
-    /// is within reach and gets checked.
+    /// is within reach and gets checked. A zone-less entry decodes as one
+    /// whole record run.
     fn scan_entry(
         &self,
         index: &ContentIndex,
@@ -928,9 +913,20 @@ impl Vault {
         let layout = source.layout;
         let Some(spans) = entry.zone_spans() else {
             // No zones in the catalog (PR-4 era archive, or a table the
-            // zone spec does not cover): whole-record decode.
-            let bytes = self.restore_record(index, entry, source, stats)?;
-            return Ok(TableScan::whole(entry.dump_start, bytes));
+            // zone spec does not cover): exactly the chunks covering the
+            // entry's record run.
+            let chunks: Vec<usize> = index.chunk_range(entry).collect();
+            let payloads = self.decode_chunks(&chunks, source, stats)?;
+            let run = extract_span(
+                &payloads,
+                layout.chunk_cap,
+                entry.archive_start,
+                entry.archive_len,
+            )?;
+            return Ok(TableScan::whole(
+                entry.dump_start,
+                decode_record_run(&run, entry)?,
+            ));
         };
         let selected: Vec<_> = spans
             .iter()
@@ -954,11 +950,11 @@ impl Vault {
             pieces.push((s.dump_start, decode_zone_record(&run, s.info)?));
         }
         if selected.len() == spans.len() {
-            let mut all = Vec::with_capacity(entry.dump_len as usize);
-            for (_, b) in &pieces {
-                all.extend_from_slice(b);
-            }
-            if crc32(&all) != entry.crc32 {
+            let crc = pieces
+                .iter()
+                .fold(0xFFFF_FFFF, |state, (_, b)| crc32_update(state, b))
+                ^ 0xFFFF_FFFF;
+            if crc != entry.crc32 {
                 return Err(VaultError::ShapeMismatch(format!(
                     "segment {} fails its catalog crc",
                     entry.name
@@ -971,32 +967,6 @@ impl Vault {
             zones_selected: selected.len(),
             pruned: selected.len() < spans.len(),
         })
-    }
-
-    /// Table names readable from the medium's index stream (plus which
-    /// restore path reading them took).
-    pub fn list_tables(
-        &self,
-        bootstrap: &Bootstrap,
-        reels: &ReelScans,
-    ) -> Result<(Vec<String>, VaultRestoreStats), VaultError> {
-        let Some(manifest) = &bootstrap.vault else {
-            let (dump, stats) = self.restore_all(bootstrap, reels)?;
-            let names = segment_dump(&dump)
-                .into_iter()
-                .filter(|s| s.is_table())
-                .map(|s| s.name)
-                .collect();
-            return Ok((names, stats));
-        };
-        let layout = self.layout_of(bootstrap, manifest);
-        let mut stats = VaultRestoreStats::new(RestorePath::Selective, layout.data_frames());
-        let mut source = FrameSource::new(layout, reels)?;
-        let index = self.read_index(manifest, &mut source, &mut stats)?;
-        Ok((
-            index.tables().iter().map(|t| t.to_string()).collect(),
-            stats,
-        ))
     }
 
     fn layout_of(&self, bootstrap: &Bootstrap, manifest: &VaultManifest) -> ReelLayout {
@@ -1051,7 +1021,9 @@ impl Vault {
     /// rebuilt *per offset* — only the frames this read touches, never
     /// the whole reel — and a frame that no longer decodes on a present
     /// reel is rebuilt from its parity group's surviving columns and
-    /// retried once before the caller escalates to the full scan.
+    /// retried once before the caller escalates to the full scan. The
+    /// retry decodes only the rebuilt frames; the first attempt's good
+    /// payloads are kept.
     fn decode_chunks(
         &self,
         chunks: &[usize],
@@ -1086,69 +1058,54 @@ impl Vault {
             .map(|&c| chunk_global_index(c, layout.outer_parity))
             .collect();
         stats.frames_decoded += positions.len();
-        let attempt = {
-            let picks: Vec<(usize, &GrayImage)> = expects
+        // Decode the frames at `picks` (indices into `chunks`): one
+        // payload per pick, `None` where it failed to decode or decoded
+        // to the wrong emission.
+        let mut corrected = 0usize;
+        let mut decode = |source: &FrameSource<'_>, picks: &[usize]| {
+            let scans: Vec<(usize, &GrayImage)> = picks
                 .iter()
-                .zip(&positions)
-                .map(|(&e, &p)| (e, source.get(p)))
+                .map(|&i| (expects[i], source.get(positions[i])))
                 .collect();
-            self.system.restore_frames_traced(&picks, &self.telemetry)
+            let (payloads, r) = self.system.restore_frames_traced(&scans, &self.telemetry);
+            corrected += r.rs_corrected;
+            payloads
         };
-        let (decoded, r) = match attempt {
-            Ok(ok) => ok,
-            Err(first) if layout.parity_reels() > 0 => {
-                // Probe which of the requested frames no longer decode
-                // (or decode to the wrong emission), rebuild exactly
-                // those from surviving group columns, retry once.
-                let geom = self.system.medium.geometry;
-                let bad: Vec<(usize, usize)> = expects
-                    .iter()
-                    .zip(&positions)
-                    .filter(|&(&e, &p)| match decode_emblem(&geom, source.get(p)) {
-                        Ok((h, _, _)) => h.index as usize != e,
-                        Err(_) => true,
-                    })
-                    .map(|(_, &p)| layout.reel_of(p))
-                    .collect();
-                if bad.is_empty() {
-                    return Err(first.into());
-                }
-                source.reconstruct(self, &bad, stats)?;
-                let picks: Vec<(usize, &GrayImage)> = expects
-                    .iter()
-                    .zip(&positions)
-                    .map(|(&e, &p)| (e, source.get(p)))
-                    .collect();
-                self.system.restore_frames_traced(&picks, &self.telemetry)?
+        let all: Vec<usize> = (0..chunks.len()).collect();
+        let mut payloads = decode(source, &all);
+        let bad: Vec<usize> = all.into_iter().filter(|&i| payloads[i].is_none()).collect();
+        if !bad.is_empty() && layout.parity_reels() > 0 {
+            // Rebuild exactly the frames that failed from surviving group
+            // columns, then decode only those once more.
+            let wants: Vec<(usize, usize)> =
+                bad.iter().map(|&i| layout.reel_of(positions[i])).collect();
+            source.reconstruct(self, &wants, stats)?;
+            for (i, payload) in bad.iter().zip(decode(source, &bad)) {
+                payloads[*i] = payload;
             }
-            Err(first) => return Err(first.into()),
-        };
-        stats.corrected_symbols += r.corrected_symbols;
+        }
+        let missing: Vec<usize> = bad
+            .into_iter()
+            .filter(|&i| payloads[i].is_none())
+            .map(|i| expects[i])
+            .collect();
+        if !missing.is_empty() {
+            return Err(RestoreError::FrameLoss {
+                kind: EmblemKind::Data,
+                expected: chunks.len(),
+                found: chunks.len() - missing.len(),
+                missing,
+            }
+            .into());
+        }
+        // Counted on success only: after a failure the full scan decodes
+        // these frames again and counts their corrections itself.
+        stats.corrected_symbols += corrected;
         Ok(chunks
             .iter()
-            .zip(decoded)
-            .map(|(&c, (_, payload))| (c, payload))
+            .zip(payloads)
+            .map(|(&c, payload)| (c, payload.expect("every frame decoded")))
             .collect())
-    }
-
-    /// Selective record decode: exactly the chunks covering `entry`.
-    fn restore_record(
-        &self,
-        index: &ContentIndex,
-        entry: &IndexEntry,
-        source: &mut FrameSource<'_>,
-        stats: &mut VaultRestoreStats,
-    ) -> Result<Vec<u8>, VaultError> {
-        let layout = source.layout;
-        let chunks: Vec<usize> = index.chunk_range(entry).collect();
-        let payloads = self.decode_chunks(&chunks, source, stats)?;
-        let bytes = extract_span(
-            &payloads,
-            layout.chunk_cap,
-            entry.archive_start,
-            entry.archive_len,
-        )?;
-        decode_record_run(&bytes, entry)
     }
 
     /// Full-scan restore of the whole dump from a vault data stream.
@@ -1379,6 +1336,14 @@ impl Vault {
             group_parity: self.plan.parity_reels,
         }
     }
+}
+
+/// What the read ladder's catalog step yields: the content index with
+/// the frame source it was read through, or — a classic archive, an
+/// unusable index — the fully restored dump.
+enum Catalog<'a> {
+    Index(ContentIndex, FrameSource<'a>),
+    Dump(Vec<u8>),
 }
 
 /// Lazily reconstructing view over a [`ReelScans`] shelf: `get` hands out

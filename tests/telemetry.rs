@@ -52,7 +52,6 @@ fn telemetry_on_restore_is_byte_identical_to_off() {
         );
         assert_eq!(stats_on.scans, stats_off.scans);
         assert_eq!(stats_on.rs_corrected, stats_off.rs_corrected);
-        assert_eq!(stats_on.corrected_symbols, stats_off.corrected_symbols);
         assert_eq!(stats_on.erasure_frames, stats_off.erasure_frames);
         assert_eq!(stats_on.emblems_recovered, stats_off.emblems_recovered);
 
@@ -71,9 +70,8 @@ fn telemetry_on_restore_is_byte_identical_to_off() {
 #[test]
 fn counters_are_identical_serial_and_threaded() {
     // The sharded recorder (one shard per worker, absorbed in input order)
-    // must make the *trace* thread-count-invariant too: same counters,
-    // same gauges, same span call counts. Wall-clock is the only field
-    // allowed to differ.
+    // must make the *trace* thread-count-invariant too: same counters and
+    // span call counts. Wall-clock is the only field allowed to differ.
     let dump = sample_dump();
     let sys_serial = tiny(ThreadConfig::Serial);
     let out = sys_serial.archive(&dump);
@@ -92,7 +90,6 @@ fn counters_are_identical_serial_and_threaded() {
     assert_eq!(bytes_par, bytes_serial);
     let (a, b) = (tel_serial.snapshot(), tel_par.snapshot());
     assert_eq!(a.counters, b.counters, "counters differ serial vs 4-thread");
-    assert_eq!(a.gauges, b.gauges, "gauges differ serial vs 4-thread");
     let calls = |t: &ule::obs::Trace| -> Vec<(String, u64)> {
         t.spans.iter().map(|(n, s)| (n.clone(), s.calls)).collect()
     };
@@ -138,7 +135,6 @@ fn corrected_frame_counter_matches_injected_fault_count() {
         stats.rs_corrected as u64
     );
     assert!(stats.rs_corrected >= damaged_idx.len());
-    assert_eq!(stats.corrected_symbols, stats.rs_corrected);
 }
 
 #[test]
@@ -155,5 +151,4 @@ fn disabled_telemetry_records_nothing_on_a_full_pipeline() {
     let trace = tel.snapshot();
     assert!(trace.spans.is_empty());
     assert!(trace.counters.is_empty());
-    assert!(trace.gauges.is_empty());
 }
