@@ -4,7 +4,12 @@
 //! ```sh
 //! cargo run --release -p ule_bench --bin report            # quick (small TPC-H)
 //! cargo run --release -p ule_bench --bin report -- --full  # paper-scale (~1.2 MB dump)
+//! cargo run --release -p ule_bench --bin report -- --e11   # one section alone
 //! ```
+//!
+//! Arguments: `--full`, plus at most one section flag (`--t1`, `--e1` …
+//! `--e15`, one per row of `SECTIONS`). An unknown argument or a second
+//! section flag prints the usage line and exits 2.
 //!
 //! Results are recorded in `EXPERIMENTS.md`.
 //!
@@ -28,20 +33,13 @@ use ule_verisc::vm::EngineKind;
 /// the failures.
 #[derive(Default)]
 struct Checks {
-    passed: usize,
-    failures: Vec<String>,
     results: Vec<(String, bool, String)>,
 }
 
 impl Checks {
     fn check(&mut self, name: &str, ok: bool, detail: String) {
-        if ok {
-            self.passed += 1;
-            println!("  [check ok]   {name}: {detail}");
-        } else {
-            self.failures.push(format!("{name}: {detail}"));
-            println!("  [CHECK FAIL] {name}: {detail}");
-        }
+        let tag = if ok { "[check ok]  " } else { "[CHECK FAIL]" };
+        println!("  {tag} {name}: {detail}");
         self.results.push((name.to_string(), ok, detail));
     }
 }
@@ -110,98 +108,135 @@ impl Recorder {
     }
 }
 
+/// One report run, handed to every section.
+struct Run {
+    /// `--full`: paper-scale workloads instead of the quick gate run.
+    full: bool,
+    /// Exactly one section was requested, so it also runs its slow
+    /// extras (E12's nested-VeRisc baseline).
+    solo: bool,
+    checks: Checks,
+    rec: Recorder,
+}
+
+impl Run {
+    /// TPC-H scale factor of the archived dump.
+    fn scale(&self) -> f64 {
+        if self.full {
+            0.00115
+        } else {
+            0.0002
+        }
+    }
+}
+
+/// Every report section, in run order. `--<name>` runs that row alone.
+const SECTIONS: &[(&str, fn(&mut Run))] = &[
+    ("t1", t1_isa),
+    ("e1", e1_paper_archive),
+    ("e2", e2_microfilm),
+    ("e3", e3_cinema),
+    ("e4", e4_robustness),
+    ("e5", e5_portability),
+    ("e6", e6_compression),
+    ("e7", e7_emulation_overhead),
+    ("e8", e8_parallel_scaling),
+    ("e9", e9_recovery_envelope),
+    ("e10", e10_vault),
+    ("e11", e11_kernels),
+    ("e12", e12_emulated_restore),
+    ("e13", e13_query),
+    ("e14", e14_obs),
+    ("e15", e15_repair),
+];
+
+/// The command line: `--full`, and the [`SECTIONS`] row to run alone.
+struct Args {
+    full: bool,
+    only: Option<usize>,
+}
+
+impl Args {
+    fn parse(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
+        let (mut full, mut only) = (false, None);
+        for arg in args {
+            if arg == "--full" {
+                full = true;
+                continue;
+            }
+            let row = arg
+                .strip_prefix("--")
+                .and_then(|name| SECTIONS.iter().position(|(n, _)| *n == name))
+                .ok_or_else(|| format!("unknown argument `{arg}`"))?;
+            if only.replace(row).is_some() {
+                return Err(format!("`{arg}`: only one section flag may be given"));
+            }
+        }
+        Ok(Args { full, only })
+    }
+
+    fn rows(&self) -> std::ops::Range<usize> {
+        self.only.map_or(0..SECTIONS.len(), |row| row..row + 1)
+    }
+
+    /// The `mode` recorded in `BENCH_report.json`.
+    fn mode(&self) -> &'static str {
+        match self.only {
+            Some(row) => SECTIONS[row].0,
+            None if self.full => "full",
+            None => "quick",
+        }
+    }
+}
+
 fn main() {
-    let full = std::env::args().any(|a| a == "--full");
-    // `--e11` / `--e12` run only that section (the CI `e11-kernels` and
-    // `e12-emulated` legs gate them without re-deriving every other
-    // experiment).
-    let e11_only = std::env::args().any(|a| a == "--e11");
-    let e12_only = std::env::args().any(|a| a == "--e12");
-    let e13_only = std::env::args().any(|a| a == "--e13");
-    let e14_only = std::env::args().any(|a| a == "--e14");
-    let e15_only = std::env::args().any(|a| a == "--e15");
+    let args = Args::parse(std::env::args().skip(1)).unwrap_or_else(|err| {
+        let flags: Vec<String> = SECTIONS.iter().map(|(n, _)| format!("--{n}")).collect();
+        eprintln!(
+            "report: {err}\nusage: report [--full] [{}]",
+            flags.join(" | ")
+        );
+        std::process::exit(2);
+    });
     println!(
         "ULE / Micr'Olonys evaluation report ({} mode{})",
-        if full { "full" } else { "quick" },
-        if e11_only {
-            ", [E11] only"
-        } else if e12_only {
-            ", [E12] only"
-        } else if e13_only {
-            ", [E13] only"
-        } else if e14_only {
-            ", [E14] only"
-        } else if e15_only {
-            ", [E15] only"
-        } else {
-            ""
+        if args.full { "full" } else { "quick" },
+        match args.only {
+            Some(row) => format!(", [{}] only", SECTIONS[row].0.to_uppercase()),
+            None => String::new(),
         }
     );
     println!("==========================================================");
-    let mut checks = Checks::default();
-    let mut rec = Recorder {
-        mode: match (full, e11_only, e12_only, e13_only, e14_only, e15_only) {
-            (_, true, _, _, _, _) => "e11".into(),
-            (_, _, true, _, _, _) => "e12".into(),
-            (_, _, _, true, _, _) => "e13".into(),
-            (_, _, _, _, true, _) => "e14".into(),
-            (_, _, _, _, _, true) => "e15".into(),
-            (true, _, _, _, _, _) => "full".into(),
-            _ => "quick".into(),
+    let mut run = Run {
+        full: args.full,
+        solo: args.only.is_some(),
+        checks: Checks::default(),
+        rec: Recorder {
+            mode: args.mode().into(),
+            ..Recorder::default()
         },
-        ..Recorder::default()
     };
-    if e11_only {
-        e11_kernels(&mut checks, &mut rec);
-    } else if e12_only {
-        // The dedicated leg also times the nested-VeRisc tier (the only
-        // emulated path before the threaded engine), which is too slow
-        // for the default gate run.
-        e12_emulated_restore(true, &mut checks, &mut rec);
-    } else if e13_only {
-        e13_query(full, &mut checks, &mut rec);
-    } else if e14_only {
-        e14_obs(full, &mut checks, &mut rec);
-    } else if e15_only {
-        e15_repair(full, &mut checks, &mut rec);
-    } else {
-        t1_isa();
-        e1_paper_archive(full, &mut checks);
-        e2_microfilm();
-        e3_cinema();
-        e4_robustness(&mut checks);
-        e5_portability();
-        e6_compression(full);
-        e7_emulation_overhead();
-        e8_parallel_scaling(full, &mut checks, &mut rec);
-        e9_recovery_envelope(full, &mut checks);
-        e10_vault(full, &mut checks, &mut rec);
-        e11_kernels(&mut checks, &mut rec);
-        e12_emulated_restore(full, &mut checks, &mut rec);
-        e13_query(full, &mut checks, &mut rec);
-        e14_obs(full, &mut checks, &mut rec);
-        e15_repair(full, &mut checks, &mut rec);
+    for (_, section) in &SECTIONS[args.rows()] {
+        section(&mut run);
     }
-    rec.write("BENCH_report.json", &checks);
-    if checks.failures.is_empty() {
-        println!(
-            "\nreport complete: all {} paper-claim checks passed.",
-            checks.passed
-        );
+    run.rec.write("BENCH_report.json", &run.checks);
+    let total = run.checks.results.len();
+    let failed: Vec<_> = run.checks.results.iter().filter(|r| !r.1).collect();
+    if failed.is_empty() {
+        println!("\nreport complete: all {total} paper-claim checks passed.");
     } else {
         println!(
-            "\nreport FAILED: {} of {} paper-claim checks did not hold:",
-            checks.failures.len(),
-            checks.passed + checks.failures.len()
+            "\nreport FAILED: {} of {total} paper-claim checks did not hold:",
+            failed.len()
         );
-        for f in &checks.failures {
-            println!("  - {f}");
+        for (name, _, detail) in failed {
+            println!("  - {name}: {detail}");
         }
         std::process::exit(1);
     }
 }
 
-fn t1_isa() {
+fn t1_isa(_run: &mut Run) {
     println!(
         "\n[T1] Table 1 — DynaRisc instruction set ({} opcodes)",
         ule_dynarisc::isa::OPCODE_COUNT
@@ -216,8 +251,9 @@ fn t1_isa() {
     }
 }
 
-fn e1_paper_archive(full: bool, checks: &mut Checks) {
-    let scale = if full { 0.00115 } else { 0.0002 };
+fn e1_paper_archive(run: &mut Run) {
+    let scale = run.scale();
+    let Run { checks, .. } = run;
     println!("\n[E1] Paper archive (§4) — TPC-H SF {scale} on A4 @600dpi");
     let t0 = Instant::now();
     let dump = ule_tpch::dump_for_scale(scale, 42);
@@ -306,7 +342,7 @@ fn film_roundtrip(medium: &Medium, paper_emblems: usize) {
     );
 }
 
-fn e2_microfilm() {
+fn e2_microfilm(_run: &mut Run) {
     println!("\n[E2] Microfilm archive (§4) — 16mm, IMAGELINK-class frames");
     let medium = Medium::microfilm_16mm();
     film_roundtrip(&medium, 3);
@@ -317,12 +353,13 @@ fn e2_microfilm() {
     );
 }
 
-fn e3_cinema() {
+fn e3_cinema(_run: &mut Run) {
     println!("\n[E3] Cinema film archive (§4) — 35mm 2K write, 4K grayscale scan");
     film_roundtrip(&Medium::cinema_35mm(), 3);
 }
 
-fn e4_robustness(checks: &mut Checks) {
+fn e4_robustness(run: &mut Run) {
+    let Run { checks, .. } = run;
     println!(
         "\n[E4] Robustness (§3.1) — inner code: 'up to 7.2% damaged data within a single emblem'"
     );
@@ -402,7 +439,7 @@ fn e4_robustness(checks: &mut Checks) {
     );
 }
 
-fn e5_portability() {
+fn e5_portability(_run: &mut Run) {
     println!("\n[E5] Portability (§4) — independent VeRisc implementations");
     let lines = ule_verisc::spec::pseudocode_lines();
     println!("  bootstrap pseudocode: {lines} lines (paper: < 500 lines)");
@@ -439,8 +476,8 @@ fn e5_portability() {
     println!("  all implementations agree (the paper's JS/Python/C++/C# result, mechanised)");
 }
 
-fn e6_compression(full: bool) {
-    let scale = if full { 0.00115 } else { 0.0002 };
+fn e6_compression(run: &mut Run) {
+    let scale = run.scale();
     println!("\n[E6] DBCoder schemes (§3.1 'close to LZMA') — TPC-H SF {scale} dump");
     let dump = ule_tpch::dump_for_scale(scale, 42);
     println!(
@@ -466,7 +503,7 @@ fn e6_compression(full: bool) {
     }
 }
 
-fn e7_emulation_overhead() {
+fn e7_emulation_overhead(_run: &mut Run) {
     println!("\n[E7] Decode-tier ablation — the cost of universality (decode only; queries run at bare metal, §2)");
     let dump = ule_tpch::dump_for_scale(0.0002, 42);
     let data = &dump[..8192];
@@ -508,8 +545,9 @@ fn e7_emulation_overhead() {
     );
 }
 
-fn e8_parallel_scaling(full: bool, checks: &mut Checks, rec: &mut Recorder) {
-    let scale = if full { 0.00115 } else { 0.0002 };
+fn e8_parallel_scaling(run: &mut Run) {
+    let scale = run.scale();
+    let Run { checks, rec, .. } = run;
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!(
         "\n[E8] Parallel archive/restore scaling — E1 workload (TPC-H SF {scale}, A4 @600dpi), {cores} core(s) available"
@@ -596,9 +634,10 @@ fn e8_parallel_scaling(full: bool, checks: &mut Checks, rec: &mut Recorder) {
     }
 }
 
-fn e10_vault(full: bool, checks: &mut Checks, rec: &mut Recorder) {
+fn e10_vault(run: &mut Run) {
     use ule_vault::{RestorePath, Vault, VaultError};
-    let scale = if full { 0.00115 } else { 0.0002 };
+    let scale = run.scale();
+    let Run { checks, rec, .. } = run;
     println!(
         "\n[E10] Vault: selective restore + cross-reel parity (S16) — TPC-H SF {scale}, \
          fine-grained tiny geometry"
@@ -728,11 +767,12 @@ fn e10_vault(full: bool, checks: &mut Checks, rec: &mut Recorder) {
     );
 }
 
-fn e13_query(full: bool, checks: &mut Checks, rec: &mut Recorder) {
+fn e13_query(run: &mut Run) {
     use ule_tpch::archival::ShelfQuery;
     use ule_tpch::queries;
     use ule_vault::zones::ZonePredicate;
-    let scale = if full { 0.00115 } else { 0.0002 };
+    let scale = run.scale();
+    let Run { checks, rec, .. } = run;
     println!(
         "\n[E13] Archival query engine: TPC-H aggregation over cold media, no full restore — \
          SF {scale}, date-clustered dump, zone-mapped catalog"
@@ -907,11 +947,12 @@ fn e13_query(full: bool, checks: &mut Checks, rec: &mut Recorder) {
     rec.ms("e13", "full_restore_ms", t_full);
 }
 
-fn e14_obs(full: bool, checks: &mut Checks, rec: &mut Recorder) {
+fn e14_obs(run: &mut Run) {
     use micr_olonys::MicrOlonys;
     use ule_obs::Telemetry;
     use ule_vault::zones::{ColumnRange, ZonePredicate};
-    let scale = if full { 0.00115 } else { 0.0002 };
+    let scale = run.scale();
+    let Run { checks, rec, .. } = run;
     println!(
         "\n[E14] Pipeline observability (ule_obs) — span-tree profile, decode-health counters, \
          machine-readable trace"
@@ -1082,10 +1123,11 @@ fn e14_obs(full: bool, checks: &mut Checks, rec: &mut Recorder) {
     rec.int("e14", "trace_counters", trace.counters.len() as u64);
 }
 
-fn e15_repair(full: bool, checks: &mut Checks, rec: &mut Recorder) {
+fn e15_repair(run: &mut Run) {
     use ule_vault::layout::StreamId;
     use ule_vault::{RestorePath, ShardPlan, Vault, VaultError};
-    let scale = if full { 0.00115 } else { 0.0002 };
+    let scale = run.scale();
+    let Run { checks, rec, .. } = run;
     println!(
         "\n[E15] Multi-parity reel groups + scrub-and-repair (§16) — RS(5, 3) shelf, \
          TPC-H SF {scale}"
@@ -1374,7 +1416,8 @@ fn time_med3<F: FnMut()>(mut f: F) -> Duration {
     runs[1]
 }
 
-fn e11_kernels(checks: &mut Checks, rec: &mut Recorder) {
+fn e11_kernels(run: &mut Run) {
+    let Run { checks, rec, .. } = run;
     use ule_bench::scalar;
     use ule_emblem::{inner_decode_with, inner_encode};
     use ule_gf256::RsCode;
@@ -1500,7 +1543,11 @@ fn e11_kernels(checks: &mut Checks, rec: &mut Recorder) {
     );
 }
 
-fn e12_emulated_restore(measure_nested: bool, checks: &mut Checks, rec: &mut Recorder) {
+fn e12_emulated_restore(run: &mut Run) {
+    // The nested-VeRisc tier is too slow for the default gate run: the
+    // section run alone (the CI leg) or `--full` times it.
+    let measure_nested = run.full || run.solo;
+    let Run { checks, rec, .. } = run;
     use micr_olonys::{EmulationTier, MicrOlonys};
     println!(
         "\n[E12] Parallel emulated restore — threaded-code DynaRisc dispatch (DESIGN.md §9) \
@@ -1647,7 +1694,8 @@ fn e12_emulated_restore(measure_nested: bool, checks: &mut Checks, rec: &mut Rec
     }
 }
 
-fn e9_recovery_envelope(full: bool, checks: &mut Checks) {
+fn e9_recovery_envelope(run: &mut Run) {
+    let Run { full, checks, .. } = run;
     // Severity semantics per model: damaged area fraction (scratches,
     // blotches, tears, spotting), dynamic range lost (fade), fraction of
     // frames lost/displaced (frame-set models) — `ule_fault::models`.
@@ -1661,7 +1709,7 @@ fn e9_recovery_envelope(full: bool, checks: &mut Checks) {
     );
     // Quick mode is gate-only (one trial per case, bisect_steps = 0);
     // --full buys the real envelope brackets recorded in EXPERIMENTS.md.
-    let bisect = if full { 5 } else { 0 };
+    let bisect = if *full { 5 } else { 0 };
     let campaign = ule_fault::RecoveryEnvelope::new(bisect).with_threads(ThreadConfig::Auto);
     for (slug, medium) in [
         ("paper", Medium::paper_a4_600dpi()),
@@ -1716,5 +1764,39 @@ fn e9_recovery_envelope(full: bool, checks: &mut Checks) {
                 format!("failed targets: {failed:?}")
             },
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn rows(args: &[&str]) -> Result<(Vec<&'static str>, &'static str), String> {
+        let args = Args::parse(args.iter().map(|a| a.to_string()))?;
+        let names = SECTIONS[args.rows()].iter().map(|(n, _)| *n).collect();
+        Ok((names, args.mode()))
+    }
+
+    #[test]
+    fn arguments_select_section_rows() {
+        for (i, (name, _)) in SECTIONS.iter().enumerate() {
+            assert!(SECTIONS[..i].iter().all(|(n, _)| n != name), "{name} twice");
+        }
+        // The flags CI passes.
+        for name in ["e11", "e12", "e13", "e14", "e15"] {
+            assert_eq!(rows(&[&format!("--{name}")]), Ok((vec![name], name)));
+        }
+        assert_eq!(rows(&["--e13", "--full"]), Ok((vec!["e13"], "e13")));
+        // No section flag: every row, in table order.
+        let all = [
+            "t1", "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13",
+            "e14", "e15",
+        ];
+        assert_eq!(rows(&[]), Ok((all.to_vec(), "quick")));
+        assert_eq!(rows(&["--full"]), Ok((all.to_vec(), "full")));
+        for bad in ["--e16", "--e1l", "e11", "--"] {
+            assert!(rows(&[bad]).is_err(), "{bad} must be rejected");
+        }
+        assert!(rows(&["--e11", "--e12"]).is_err(), "two section flags");
     }
 }

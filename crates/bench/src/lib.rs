@@ -1,8 +1,8 @@
-//! Shared workload builders for the benchmark harness (system **S13**).
+//! Shared workload builders for the evaluation report (system **S13**).
 //!
-//! Every table and figure in the paper's evaluation (§4) maps to one bench
-//! target plus a section of the `report` binary — see the experiment index
-//! in `DESIGN.md` and the recorded results in `EXPERIMENTS.md`.
+//! Every table and figure in the paper's evaluation (§4) maps to one
+//! section of the `report` binary — see the experiment index in
+//! `DESIGN.md` and the recorded results in `EXPERIMENTS.md`.
 
 use std::sync::Arc;
 use ule_emblem::{

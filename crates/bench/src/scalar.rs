@@ -2,10 +2,10 @@
 //!
 //! These are the pre-kernel implementations of the byte-loop hot paths —
 //! the bitwise CRCs and the one-`Gf256::mul`-per-byte Reed–Solomon
-//! parity/syndrome loops — kept in-tree so `benches/kernels.rs` and the
-//! report's `[E11]` gate always measure the vectorized kernels against the
-//! exact code they replaced, on the same host, in the same process. They
-//! are reference implementations only: nothing in the pipeline calls them,
+//! parity/syndrome loops — kept in-tree so the report's `[E11]` gate
+//! always measures the vectorized kernels against the exact code they
+//! replaced, on the same host, in the same process. They are reference
+//! implementations only: nothing in the pipeline calls them,
 //! and they are bit-for-bit equivalent to the kernel paths (the `[E11]`
 //! section asserts the equivalence on every run before timing anything).
 

@@ -1,5 +1,5 @@
-//! Byte-oriented run-length encoding — the naive baseline the benches
-//! compare richer schemes against.
+//! Byte-oriented run-length encoding — the naive baseline the report
+//! (`[E6]`) compares richer schemes against.
 //!
 //! Format: repeated `(count: u8, byte: u8)` pairs for runs of 2 or more,
 //! and `(0, literal_count: u8, literals...)` packets for non-repeating

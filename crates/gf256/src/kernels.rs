@@ -36,7 +36,7 @@
 //! `PROPTEST_SEED`, and the golden-format suite pins the absolute archive
 //! bytes.
 //!
-//! Throughput on the E11 harness (`benches/kernels.rs`, report `[E11]`):
+//! Throughput on the E11 harness (the report's `[E11]` section):
 //! ≥4× on RS(255,223) encode and ≥8× on CRC32 over the retained scalar
 //! baselines.
 

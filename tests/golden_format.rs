@@ -24,7 +24,7 @@
 //! counts, the full tiny-medium pipeline) and skips the production-media
 //! stream/fault CRCs; the comparison is key-based, so skipped keys are
 //! simply not checked. Set `ULE_GOLDEN_FULL=1` to compute and compare
-//! every golden line (CI's `e10-smoke` leg does; regeneration always
+//! every golden line (CI's `e11-kernels` leg does; regeneration always
 //! runs full so the checked-in file never loses lines).
 
 use std::fmt::Write as _;

@@ -12,7 +12,7 @@
 //!   panic, never silent garbage.
 //!
 //! The worker pool is taken from `ULE_TEST_THREADS`, so the CI matrix
-//! (`e10-smoke`) runs this file serial and 4-threaded.
+//! (`e15-repair`) runs this file serial and 4-threaded.
 
 use ule::fault::{FaultPlan, FrameBlankFault};
 use ule::obs::Telemetry;
