@@ -445,9 +445,8 @@ fn e5_portability(_run: &mut Run) {
     println!("  bootstrap pseudocode: {lines} lines (paper: < 500 lines)");
     let sys = micr_olonys::MicrOlonys {
         medium: Medium::test_micro(),
-        scheme: Scheme::Lzss,
         with_parity: false,
-        threads: ThreadConfig::Serial,
+        ..micr_olonys::MicrOlonys::test_tiny()
     };
     let dump = b"COPY t (k) FROM stdin;\n1\n2\n3\n\\.\n".to_vec();
     let out = sys.archive(&dump);
@@ -561,16 +560,11 @@ fn e8_parallel_scaling(run: &mut Run) {
     let mut serial: Option<(Duration, Duration, u32)> = None;
     let mut speedup4 = 1.0f64;
     for threads in [1usize, 2, 4, 8] {
-        let sys = micr_olonys::MicrOlonys {
-            medium: Medium::paper_a4_600dpi(),
-            scheme: Scheme::Lzss,
-            with_parity: true,
-            threads: if threads == 1 {
-                ThreadConfig::Serial
-            } else {
-                ThreadConfig::Fixed(threads)
-            },
-        };
+        let sys = micr_olonys::MicrOlonys::paper_default().with_threads(if threads == 1 {
+            ThreadConfig::Serial
+        } else {
+            ThreadConfig::Fixed(threads)
+        });
         let t = Instant::now();
         let out = sys.archive(&dump);
         let t_arch = t.elapsed();
@@ -968,9 +962,10 @@ fn e14_obs(run: &mut Run) {
     // Gate 1: the recorder only observes — restored bytes (and the RS
     // work done to get them) are identical with telemetry on and off.
     let (bytes_off, stats_off) = sys.restore_native(&scans).expect("restore, telemetry off");
-    let tel_probe = Telemetry::enabled();
     let (bytes_on, stats_on) = sys
-        .restore_native_traced(&scans, &tel_probe)
+        .clone()
+        .with_telemetry(Telemetry::enabled())
+        .restore_native(&scans)
         .expect("restore, telemetry on");
     checks.check(
         "e14_identity",
@@ -986,8 +981,8 @@ fn e14_obs(run: &mut Run) {
         std::hint::black_box(sys.restore_native(&scans).expect("restore"));
     });
     let t_on = time_med3(|| {
-        let tel = Telemetry::enabled();
-        std::hint::black_box(sys.restore_native_traced(&scans, &tel).expect("restore"));
+        let traced = sys.clone().with_telemetry(Telemetry::enabled());
+        std::hint::black_box(traced.restore_native(&scans).expect("restore"));
     });
     let overhead = t_on.as_secs_f64() / t_off.as_secs_f64().max(1e-9) - 1.0;
     println!(
@@ -1007,7 +1002,8 @@ fn e14_obs(run: &mut Run) {
     // fault-injected scan/decode, a selective restore and an E13 query —
     // the whole Figure-2 loop in a single span tree.
     let tel = Telemetry::enabled();
-    let traced = sys.archive_traced(&dump, &tel);
+    let traced_sys = sys.clone().with_telemetry(tel.clone());
+    let traced = traced_sys.archive(&dump);
     assert_eq!(traced.stats.archive_bytes, out.stats.archive_bytes);
     // `ule_fault` damage: blotches at 3% area on every data frame — inside
     // the inner code's E4 budget, so the restore succeeds *by correcting*
@@ -1021,8 +1017,8 @@ fn e14_obs(run: &mut Run) {
         })
         .expect("some blotch severity decodes on the tiny medium");
     let damaged = plan.apply(&scans, severity, 0xE14C0DE);
-    let (dbytes, dstats) = sys
-        .restore_native_traced(&damaged, &tel)
+    let (dbytes, dstats) = traced_sys
+        .restore_native(&damaged)
         .expect("damaged restore");
     checks.check(
         "e14_damage_bit_exact",
@@ -1556,10 +1552,8 @@ fn e12_emulated_restore(run: &mut Run) {
     // Same workload as `tests/parallel_identity.rs`'s emulated matrix:
     // pristine frames on the tiny medium, several data emblems.
     let sys = MicrOlonys {
-        medium: Medium::test_tiny(),
-        scheme: Scheme::Lzss,
         with_parity: false,
-        threads: ThreadConfig::Serial,
+        ..MicrOlonys::test_tiny()
     };
     let dump = ule_tpch::dump_for_scale(0.0001, 2026);
     let out = sys.archive(&dump);

@@ -30,42 +30,6 @@ pub mod rle;
 
 pub use container::{compress, decompress, ArchiveError, Scheme};
 
-/// [`compress`] with codec telemetry: a span per compressor stage plus
-/// bytes-in/bytes-out counters, both overall and per scheme. The bytes
-/// produced are identical to [`compress`] — the recorder only observes.
-pub fn compress_traced(scheme: Scheme, data: &[u8], tel: &ule_obs::Telemetry) -> Vec<u8> {
-    let out = {
-        let _span = tel.span("archive.compress");
-        compress(scheme, data)
-    };
-    tel.add("codec.bytes_in", data.len() as u64);
-    tel.add("codec.bytes_out", out.len() as u64);
-    tel.add(
-        &format!("codec.{}.bytes_in", scheme.name()),
-        data.len() as u64,
-    );
-    tel.add(
-        &format!("codec.{}.bytes_out", scheme.name()),
-        out.len() as u64,
-    );
-    out
-}
-
-/// [`decompress`] with codec telemetry (the restore-side mirror of
-/// [`compress_traced`]).
-pub fn decompress_traced(
-    archive: &[u8],
-    tel: &ule_obs::Telemetry,
-) -> Result<Vec<u8>, ArchiveError> {
-    let out = {
-        let _span = tel.span("restore.decompress");
-        decompress(archive)?
-    };
-    tel.add("codec.restore.bytes_in", archive.len() as u64);
-    tel.add("codec.restore.bytes_out", out.len() as u64);
-    Ok(out)
-}
-
 /// Upper bound on what a decoder pre-allocates for its output buffer.
 /// `expected_len` comes from an archive header that may be corrupted, so
 /// decoders start no larger than this and let the vector grow naturally —

@@ -26,16 +26,21 @@ pub struct MicrOlonys {
     pub scheme: Scheme,
     /// Whether to add the outer RS(20,17) parity emblems.
     pub with_parity: bool,
-    /// Worker pool for the archive and native-restore hot paths (per-emblem
-    /// encode/decode, inner/outer RS coding, frame rasterisation). Output
-    /// is byte-identical at any setting — the on-medium format is frozen —
-    /// so this only changes wall-clock time. Defaults to
-    /// [`ThreadConfig::Serial`]; the emulated restore path ignores it and
-    /// always runs sequentially (`DESIGN.md` §9: the Bootstrap walkthrough
-    /// a future restorer follows is specified as a sequential procedure,
-    /// and the fifty-years-from-now reimplementation must not need
-    /// threads).
+    /// Worker pool for every fanned-out stage of [`MicrOlonys::archive`],
+    /// [`MicrOlonys::restore_native`] and [`MicrOlonys::restore_frames`]
+    /// (per-emblem encode/decode, outer-code parity, frame rasterisation).
+    /// Output is byte-identical at any setting — the on-medium format is
+    /// frozen — so this only changes wall-clock time. Defaults to
+    /// [`ThreadConfig::Serial`]. The emulated restore is an associated
+    /// function with no `self`, so it takes its own `threads` argument and
+    /// fans MODecode out per frame the same way (`DESIGN.md` §9).
     pub threads: ThreadConfig,
+    /// Pipeline telemetry that [`MicrOlonys::archive`],
+    /// [`MicrOlonys::restore_native`] and [`MicrOlonys::restore_frames`]
+    /// record spans and counters into. Defaults to [`Telemetry::off`],
+    /// whose every call is a null check; an enabled recorder only
+    /// observes, so bytes and stats are identical either way.
+    pub telemetry: Telemetry,
 }
 
 /// Everything `archive` produces — the package that goes to the film
@@ -69,6 +74,7 @@ impl MicrOlonys {
             scheme: Scheme::Lzss,
             with_parity: true,
             threads: ThreadConfig::Serial,
+            telemetry: Telemetry::off(),
         }
     }
 
@@ -79,6 +85,7 @@ impl MicrOlonys {
             scheme: Scheme::Lzss,
             with_parity: true,
             threads: ThreadConfig::Serial,
+            telemetry: Telemetry::off(),
         }
     }
 
@@ -89,24 +96,33 @@ impl MicrOlonys {
         self
     }
 
-    /// Archive a textual database dump: compress (DBCoder), lay out as
-    /// emblems (MOCoder), render to media frames, and produce the
-    /// Bootstrap document.
-    pub fn archive(&self, dump: &[u8]) -> ArchiveOutput {
-        self.archive_traced(dump, &Telemetry::off())
+    /// This configuration recording into `telemetry` (builder style:
+    /// `MicrOlonys::test_tiny().with_telemetry(Telemetry::enabled())`).
+    pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
+        self.telemetry = telemetry;
+        self
     }
 
-    /// [`MicrOlonys::archive`] with pipeline telemetry: spans for the
-    /// compress, encode and print stages plus codec/emblem counters. The
-    /// recorder only observes — frames, Bootstrap and stats are
-    /// byte-identical to the untraced path (the default [`Telemetry::off`]
-    /// handle is a null check per call).
-    pub fn archive_traced(&self, dump: &[u8], tel: &Telemetry) -> ArchiveOutput {
+    /// Archive a textual database dump: compress (DBCoder), lay out as
+    /// emblems (MOCoder), render to media frames, and produce the
+    /// Bootstrap document. Records spans for the compress, encode and
+    /// print stages plus codec/emblem counters into `self.telemetry`.
+    pub fn archive(&self, dump: &[u8]) -> ArchiveOutput {
+        let tel = &self.telemetry;
         let _span = tel.span("archive");
         let geom = self.medium.geometry;
         // Step 2: DBCoder. (Inherently sequential: LZSS match-finding and
         // the arithmetic coder both thread state through every byte.)
-        let archive_bytes = ule_compress::compress_traced(self.scheme, dump, tel);
+        let archive_bytes = {
+            let _compress = tel.span("archive.compress");
+            ule_compress::compress(self.scheme, dump)
+        };
+        let (bytes_in, bytes_out) = (dump.len() as u64, archive_bytes.len() as u64);
+        let name = self.scheme.name();
+        tel.add("codec.bytes_in", bytes_in);
+        tel.add("codec.bytes_out", bytes_out);
+        tel.add(&format!("codec.{name}.bytes_in"), bytes_in);
+        tel.add(&format!("codec.{name}.bytes_out"), bytes_out);
         // Step 3: MOCoder — data emblems, fanned out per emblem.
         let data_emblems = encode_stream_traced(
             &geom,
@@ -236,9 +252,8 @@ mod tests {
     fn micro_medium_archive_has_single_data_emblem() {
         let sys = MicrOlonys {
             medium: ule_media::Medium::test_micro(),
-            scheme: Scheme::Lzss,
             with_parity: false,
-            threads: ThreadConfig::Serial,
+            ..MicrOlonys::test_tiny()
         };
         let dump = b"COPY t (a) FROM stdin;\n1\n\\.\n".to_vec();
         let out = sys.archive(&dump);

@@ -30,7 +30,10 @@ use ule_dynarisc::programs::{dbdecode, modecode};
 use ule_dynarisc::{ThreadedImage, Vm, VmError};
 use ule_emblem::geometry::RS_K;
 use ule_emblem::stream::{chunk_global_index, GROUP_DATA};
-use ule_emblem::{decode_stream, decode_stream_traced, EmblemHeader, EmblemKind, StreamError};
+use ule_emblem::{
+    decode_stream, decode_stream_traced, record_decode_health, EmblemHeader, EmblemKind,
+    StreamError,
+};
 use ule_gf256::crc::crc32_update;
 use ule_obs::Telemetry;
 use ule_par::ThreadConfig;
@@ -174,23 +177,16 @@ impl MicrOlonys {
     /// `self.threads`; the outer errors-and-erasures recovery joins the
     /// results in index order, so the restored bytes are identical at any
     /// thread count.
+    ///
+    /// Records into `self.telemetry`: a `restore.native` span over the
+    /// whole pass, the per-frame RS and erasure counters from the stream
+    /// decoder, and decompression codec counters. The recorder only
+    /// observes — restored bytes and stats are identical with it off.
     pub fn restore_native(
         &self,
         data_scans: &[GrayImage],
     ) -> Result<(Vec<u8>, RestoreStats), RestoreError> {
-        self.restore_native_traced(data_scans, &Telemetry::off())
-    }
-
-    /// [`MicrOlonys::restore_native`] with decode-health telemetry: a
-    /// `restore.native` span over the whole pass, the per-frame RS and
-    /// erasure counters from the stream decoder, and decompression codec
-    /// counters. The recorder only observes — restored bytes and stats
-    /// are identical to the untraced path.
-    pub fn restore_native_traced(
-        &self,
-        data_scans: &[GrayImage],
-        tel: &Telemetry,
-    ) -> Result<(Vec<u8>, RestoreStats), RestoreError> {
+        let tel = &self.telemetry;
         let _span = tel.span("restore.native");
         let geom = self.medium.geometry;
         let (archive, s) =
@@ -210,7 +206,12 @@ impl MicrOlonys {
                 },
                 other => RestoreError::Stream(other),
             })?;
-        let dump = ule_compress::decompress_traced(&archive, tel)?;
+        let dump = {
+            let _decompress = tel.span("restore.decompress");
+            ule_compress::decompress(&archive)?
+        };
+        tel.add("codec.restore.bytes_in", archive.len() as u64);
+        tel.add("codec.restore.bytes_out", dump.len() as u64);
         Ok((
             dump,
             RestoreStats {
@@ -224,92 +225,71 @@ impl MicrOlonys {
         ))
     }
 
+    /// [`MicrOlonys::restore_native`] recording into `tel` instead of
+    /// `self.telemetry`. Kept only because the out-of-workspace benchmark
+    /// (`benchmark/`) times it; new code sets the field instead.
+    pub fn restore_native_traced(
+        &self,
+        data_scans: &[GrayImage],
+        tel: &Telemetry,
+    ) -> Result<(Vec<u8>, RestoreStats), RestoreError> {
+        self.clone()
+            .with_telemetry(tel.clone())
+            .restore_native(data_scans)
+    }
+
     /// Selective-restore primitive (S16, `DESIGN.md` §11): decode *only*
     /// the named scans — `(global emblem index, scan)` pairs, typically
     /// the frames a vault content index maps a single table to — fanned
-    /// out across `self.threads`, and return each frame's payload keyed
-    /// by its global emblem index, in input order.
+    /// out across `self.threads`, and return one outcome per pick, in
+    /// input order: `Some(payload)` for every scan that decoded to its
+    /// expected global index, `None` for the rest.
     ///
     /// Unlike [`MicrOlonys::restore_native`] this does no outer-code
     /// recovery (the caller chose exactly these frames; recovery would
     /// need frames it deliberately did not scan). A scan that fails to
     /// decode, or whose decoded header names a different global index
     /// than the caller expected (a frame filed on the wrong spot of the
-    /// shelf), is reported as [`RestoreError::FrameLoss`] naming the
-    /// affected indices so the caller can escalate — fetch the group's
-    /// parity frames, or fall back to a full scan.
+    /// shelf), comes back `None`, so a caller that can rebuild the failed
+    /// frames keeps the good payloads and decodes only the rebuilt ones.
+    ///
+    /// Also returns the per-frame decode health: a [`RestoreStats`] whose
+    /// `rs_corrected` aggregates the inner-RS fixes of every frame that
+    /// came back `Some`. `self.telemetry` gets a `restore.selective` span,
+    /// the `selective.frames_*` counters, and the same decode-health
+    /// counters the stream decoder records
+    /// ([`ule_emblem::record_decode_health`]).
     pub fn restore_frames(
         &self,
         scans: &[(usize, &GrayImage)],
-    ) -> Result<Vec<(usize, Vec<u8>)>, RestoreError> {
-        let (outcomes, _) = self.restore_frames_traced(scans, &Telemetry::off());
-        let mut out = Vec::with_capacity(scans.len());
-        let mut missing = Vec::new();
-        for (&(idx, _), payload) in scans.iter().zip(outcomes) {
-            match payload {
-                Some(payload) => out.push((idx, payload)),
-                None => missing.push(idx),
-            }
-        }
-        if !missing.is_empty() {
-            return Err(RestoreError::FrameLoss {
-                kind: EmblemKind::Data,
-                expected: scans.len(),
-                found: out.len(),
-                missing,
-            });
-        }
-        Ok(out)
-    }
-
-    /// [`MicrOlonys::restore_frames`] with one outcome per pick instead
-    /// of an all-or-nothing result: `Some(payload)` for every scan that
-    /// decoded to its expected global index, `None` for the rest, in
-    /// input order — so a caller that can rebuild the failed frames keeps
-    /// the good payloads and decodes only the rebuilt ones. Also returns
-    /// the per-frame decode health: a [`RestoreStats`] whose
-    /// `rs_corrected` aggregates the inner-RS fixes of every decoded
-    /// frame, plus frames-requested/decoded counters on the telemetry
-    /// recorder.
-    pub fn restore_frames_traced(
-        &self,
-        scans: &[(usize, &GrayImage)],
-        tel: &Telemetry,
     ) -> (Vec<Option<Vec<u8>>>, RestoreStats) {
+        let tel = &self.telemetry;
         let _span = tel.span("restore.selective");
         let geom = self.medium.geometry;
-        let results =
-            ule_par::map(
-                self.threads,
-                scans,
-                |(expect, scan)| match ule_emblem::decode_emblem(&geom, scan) {
-                    Ok((h, payload, ds)) if h.index as usize == *expect => {
-                        Some((payload, ds.rs_corrected))
-                    }
-                    _ => None,
-                },
-            );
+        let results = ule_par::map(self.threads, scans, |(_, scan)| {
+            ule_emblem::decode_emblem(&geom, scan)
+        });
+        record_decode_health(tel, &results);
         let mut stats = RestoreStats {
             scans: scans.len(),
             ..Default::default()
         };
-        let outcomes: Vec<Option<Vec<u8>>> = results
-            .into_iter()
-            .map(|r| {
-                let (payload, fixed) = r?;
-                stats.rs_corrected += fixed;
-                stats.archive_bytes += payload.len();
-                if fixed > 0 {
-                    tel.add("decode.frames_corrected", 1);
+        let outcomes: Vec<Option<Vec<u8>>> = scans
+            .iter()
+            .zip(results)
+            .map(|(&(expect, _), r)| match r {
+                Ok((h, payload, ds)) if h.index as usize == expect => {
+                    stats.rs_corrected += ds.rs_corrected;
+                    stats.archive_bytes += payload.len();
+                    Some(payload)
                 }
-                Some(payload)
+                _ => None,
             })
             .collect();
         let decoded = outcomes.iter().flatten().count();
         tel.add("selective.frames_requested", scans.len() as u64);
         tel.add("selective.frames_decoded", decoded as u64);
         tel.add("selective.frames_failed", (scans.len() - decoded) as u64);
-        tel.add("decode.corrected_symbols", stats.rs_corrected as u64);
         (outcomes, stats)
     }
 
@@ -735,17 +715,14 @@ mod tests {
         // Emission order == global index order, so frame i carries index i.
         let picks: Vec<(usize, &ule_raster::GrayImage)> =
             [1usize, 4, 2].iter().map(|&i| (i, &scans[i])).collect();
-        let got = sys.restore_frames(&picks).unwrap();
-        assert_eq!(got.len(), 3);
-        assert_eq!(
-            got.iter().map(|(i, _)| *i).collect::<Vec<_>>(),
-            vec![1, 4, 2],
-            "input order preserved"
-        );
+        let (got, stats) = sys.restore_frames(&picks);
+        assert_eq!(got.len(), 3, "one outcome per pick, in input order");
+        assert_eq!(stats.scans, 3);
         // Payloads must match the full-restore bytes chunk for chunk.
         let cap = sys.medium.geometry.payload_capacity();
         let archive = ule_compress::compress(sys.scheme, &dump);
-        for (idx, payload) in &got {
+        for (&(idx, _), payload) in picks.iter().zip(&got) {
+            let payload = payload.as_ref().expect("named scan decodes");
             // Indices 1/4/2 sit in group 0's data range: chunk == index.
             let start = idx * cap;
             assert_eq!(payload.as_slice(), &archive[start..start + payload.len()]);
@@ -762,19 +739,17 @@ mod tests {
         // Scan 2 handed in under index 1 (misfiled), a blank under 3.
         let picks: Vec<(usize, &ule_raster::GrayImage)> =
             vec![(0, &scans[0]), (1, &scans[2]), (3, &blank)];
-        match sys.restore_frames(&picks) {
-            Err(RestoreError::FrameLoss {
-                expected,
-                found,
-                missing,
-                ..
-            }) => {
-                assert_eq!(expected, 3);
-                assert_eq!(found, 1);
-                assert_eq!(missing, vec![1, 3]);
-            }
-            other => panic!("expected FrameLoss, got {other:?}"),
-        }
+        let sys = sys.with_telemetry(ule_obs::Telemetry::enabled());
+        let (got, _) = sys.restore_frames(&picks);
+        assert!(got[0].is_some());
+        assert_eq!(got[1], None, "misfiled scan");
+        assert_eq!(got[2], None, "undecodable scan");
+        // The misfiled scan decodes cleanly, so only the blank is a
+        // decode failure; both count as failed picks.
+        let tel = &sys.telemetry;
+        assert_eq!(tel.counter("decode.frames_total"), 3);
+        assert_eq!(tel.counter("decode.frames_failed"), 1);
+        assert_eq!(tel.counter("selective.frames_failed"), 2);
     }
 
     #[test]

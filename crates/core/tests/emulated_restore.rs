@@ -3,16 +3,14 @@
 //! inside the nested VeRisc → DynaRisc emulator.
 
 use micr_olonys::{EmulationTier, MicrOlonys, ThreadConfig};
-use ule_compress::Scheme;
 use ule_media::Medium;
 use ule_verisc::vm::EngineKind;
 
 fn micro_system() -> MicrOlonys {
     MicrOlonys {
         medium: Medium::test_micro(),
-        scheme: Scheme::Lzss,
         with_parity: false,
-        threads: micr_olonys::ThreadConfig::Serial,
+        ..MicrOlonys::test_tiny()
     }
 }
 

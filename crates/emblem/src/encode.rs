@@ -5,7 +5,6 @@ use crate::geometry::{
 };
 use crate::header::{EmblemHeader, HEADER_BYTES};
 use crate::manchester::{bytes_to_bits, encode_cells};
-use ule_par::ThreadConfig;
 use ule_raster::draw::fill_rect;
 use ule_raster::GrayImage;
 
@@ -13,13 +12,6 @@ use ule_raster::GrayImage;
 /// block `b` lands at position `i * nblocks + b`, so a contiguous damaged
 /// patch spreads across many blocks.
 pub fn inner_encode(geom: &EmblemGeometry, payload: &[u8]) -> Vec<u8> {
-    inner_encode_with(geom, payload, ThreadConfig::Serial)
-}
-
-/// [`inner_encode`] with the RS blocks fanned out across `threads` workers
-/// (byte-identical output at any thread count — the blocks are independent
-/// and the interleave is position-determined).
-pub fn inner_encode_with(geom: &EmblemGeometry, payload: &[u8], threads: ThreadConfig) -> Vec<u8> {
     let nblocks = geom.rs_blocks();
     assert!(
         payload.len() <= nblocks * RS_K,
@@ -28,11 +20,9 @@ pub fn inner_encode_with(geom: &EmblemGeometry, payload: &[u8], threads: ThreadC
     let rs = geom.inner_code();
     let mut padded = payload.to_vec();
     padded.resize(nblocks * RS_K, 0);
-    let msgs: Vec<&[u8]> = padded.chunks(RS_K).collect();
-    let cws = rs.encode_batch(&msgs, threads);
     let mut coded = vec![0u8; nblocks * RS_N];
-    for (b, cw) in cws.iter().enumerate() {
-        for (i, &byte) in cw.iter().enumerate() {
+    for (b, msg) in padded.chunks(RS_K).enumerate() {
+        for (i, &byte) in rs.encode(msg).iter().enumerate() {
             coded[i * nblocks + b] = byte;
         }
     }
@@ -169,20 +159,6 @@ mod tests {
         // first byte of every 223-byte chunk of the payload.
         for b in 0..nblocks {
             assert_eq!(coded[b], payload[b * RS_K]);
-        }
-    }
-
-    #[test]
-    fn inner_encode_threaded_is_byte_identical() {
-        let g = geom();
-        let payload: Vec<u8> = (0..g.payload_capacity()).map(|i| (i * 13) as u8).collect();
-        let serial = inner_encode(&g, &payload);
-        for threads in [2usize, 4, 8] {
-            assert_eq!(
-                inner_encode_with(&g, &payload, ThreadConfig::Fixed(threads)),
-                serial,
-                "threads={threads}"
-            );
         }
     }
 

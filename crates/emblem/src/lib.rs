@@ -19,10 +19,11 @@
 //! geometry to resample the cell grid, so lens curvature and transport
 //! jitter are compensated exactly the way §3.1 demands.
 //!
-//! Emblems in a stream are independent, so the batch entry points
-//! ([`encode_stream_with`], [`decode_stream_with`], plus the
-//! `inner_*_with` block-level helpers) accept a [`ThreadConfig`] and fan
-//! the per-emblem work out across a scoped worker pool — with output
+//! Emblems in a stream are independent, so each stream stage has two
+//! forms: a plain serial one ([`encode_stream`], [`decode_stream`]) and a
+//! full one ([`encode_stream_traced`], [`decode_stream_traced`]) that
+//! takes a [`ThreadConfig`] and a telemetry handle and fans the
+//! per-emblem work out across a scoped worker pool — with output
 //! byte-identical to the serial path at any thread count, because the
 //! on-medium format is frozen (`DESIGN.md` §9).
 
@@ -35,11 +36,11 @@ pub mod manchester;
 pub mod stream;
 
 pub use decode::{decode_emblem, inner_decode_with, DecodeError, DecodeStats};
-pub use encode::{encode_emblem, inner_encode, inner_encode_with};
+pub use encode::{encode_emblem, inner_encode};
 pub use geometry::EmblemGeometry;
 pub use header::{EmblemHeader, EmblemKind};
 pub use stream::{
-    decode_stream, decode_stream_traced, decode_stream_with, encode_stream, encode_stream_traced,
-    encode_stream_with, StreamError,
+    decode_stream, decode_stream_traced, encode_stream, encode_stream_traced, record_decode_health,
+    StreamError,
 };
 pub use ule_par::ThreadConfig;

@@ -9,7 +9,7 @@
 //! Groups with fewer than 17 data emblems (the stream tail) use the
 //! shortened RS(n+3, n) code — still any-3-of-(n+3) recoverable.
 
-use crate::decode::{decode_emblem, DecodeStats};
+use crate::decode::{decode_emblem, DecodeError, DecodeStats};
 use crate::encode::encode_emblem;
 use crate::geometry::EmblemGeometry;
 use crate::header::{EmblemHeader, EmblemKind};
@@ -71,32 +71,29 @@ pub fn encode_stream(
     payload: &[u8],
     with_parity: bool,
 ) -> Vec<GrayImage> {
-    encode_stream_with(geom, kind, payload, with_parity, ThreadConfig::Serial)
+    encode_stream_traced(
+        geom,
+        kind,
+        payload,
+        with_parity,
+        ThreadConfig::Serial,
+        &Telemetry::off(),
+    )
 }
 
 /// [`encode_stream`] with the per-emblem work (outer-code parity, inner RS
-/// encode, cell layout, rasterisation) fanned out across `threads` workers.
+/// encode, cell layout, rasterisation) fanned out across `threads` workers,
+/// plus telemetry: spans for the outer-parity and render stages, counters
+/// for data/parity emblem counts.
 ///
 /// Determinism: emblem content is a pure function of `(header, chunk)`, and
 /// both the outer-parity stage (one job per group) and the render stage
 /// (one job per emblem) join their results in index order, so the produced
 /// images are byte-identical to the serial path at any thread count
 /// (`tests/parallel_identity.rs` pins this; `tests/golden_format.rs` pins
-/// the absolute bytes so the frozen format cannot drift).
-pub fn encode_stream_with(
-    geom: &EmblemGeometry,
-    kind: EmblemKind,
-    payload: &[u8],
-    with_parity: bool,
-    threads: ThreadConfig,
-) -> Vec<GrayImage> {
-    encode_stream_traced(geom, kind, payload, with_parity, threads, &Telemetry::off())
-}
-
-/// [`encode_stream_with`] plus telemetry: spans for the outer-parity and
-/// render stages, counters for data/parity emblem counts. The recorder
-/// only observes — emitted images are byte-identical to the untraced path
-/// (and the default [`Telemetry::off`] handle never reads the clock).
+/// the absolute bytes so the frozen format cannot drift). The recorder
+/// only observes, and the default [`Telemetry::off`] handle never reads
+/// the clock.
 pub fn encode_stream_traced(
     geom: &EmblemGeometry,
     kind: EmblemKind,
@@ -169,6 +166,51 @@ pub fn encode_stream_traced(
     ule_par::map(threads, &jobs, |(header, ch)| {
         encode_emblem(geom, header, ch)
     })
+}
+
+/// Add one batch of [`decode_emblem`] outcomes to the decode-health
+/// counters: `decode.frames_total`, `decode.frames_failed` (an `Err`),
+/// `decode.clean_frames`,
+/// `decode.frames_corrected`, `decode.corrected_symbols`,
+/// `decode.sync_errors` and `decode.header_retries`. The stream decoder
+/// and the selective restore both record through here, so every decode
+/// path reports the same set and `clean_frames + frames_corrected +
+/// frames_failed == frames_total` holds on any trace.
+pub fn record_decode_health(
+    tel: &Telemetry,
+    frames: &[Result<(EmblemHeader, Vec<u8>, DecodeStats), DecodeError>],
+) {
+    if !tel.is_enabled() {
+        return;
+    }
+    let (mut total, mut failed, mut clean, mut corrected) = (0u64, 0u64, 0u64, 0u64);
+    let (mut symbols, mut sync_errors, mut retries) = (0u64, 0u64, 0u64);
+    for frame in frames {
+        total += 1;
+        let Ok((_, _, s)) = frame else {
+            failed += 1;
+            continue;
+        };
+        if s.rs_corrected == 0 {
+            clean += 1;
+        } else {
+            corrected += 1;
+        }
+        symbols += s.rs_corrected as u64;
+        sync_errors += s.sync_errors as u64;
+        retries += u64::from(s.header_copy_used > 0);
+    }
+    tel.add("decode.frames_total", total);
+    tel.add("decode.frames_failed", failed);
+    tel.add("decode.clean_frames", clean);
+    tel.add("decode.corrected_symbols", symbols);
+    tel.add("decode.sync_errors", sync_errors);
+    if corrected > 0 {
+        tel.add("decode.frames_corrected", corrected);
+    }
+    if retries > 0 {
+        tel.add("decode.header_retries", retries);
+    }
 }
 
 /// Stream-level decode failures.
@@ -248,30 +290,21 @@ pub fn decode_stream(
     geom: &EmblemGeometry,
     scans: &[GrayImage],
 ) -> Result<(Vec<u8>, StreamStats), StreamError> {
-    decode_stream_with(geom, scans, ThreadConfig::Serial)
+    decode_stream_traced(geom, scans, ThreadConfig::Serial, &Telemetry::off())
 }
 
 /// [`decode_stream`] with the per-scan pipeline (locate border → resample
-/// grid → inner RS errors correction) fanned out across `threads` workers.
+/// grid → inner RS errors correction) fanned out across `threads` workers,
+/// plus decode-health telemetry: a per-frame span (recorded into one shard
+/// per scan, merged in input order after the join — worker scheduling can
+/// never reorder the trace), the [`record_decode_health`] counters, and
+/// outer-code erasure counters.
+///
 /// The outer-code erasure recovery and reassembly run after the join and
 /// consume per-scan results in input order, so payload bytes and
 /// [`StreamStats`] are identical to the serial path at any thread count.
-pub fn decode_stream_with(
-    geom: &EmblemGeometry,
-    scans: &[GrayImage],
-    threads: ThreadConfig,
-) -> Result<(Vec<u8>, StreamStats), StreamError> {
-    decode_stream_traced(geom, scans, threads, &Telemetry::off())
-}
-
-/// [`decode_stream_with`] plus decode-health telemetry: a per-frame span
-/// (recorded into one shard per scan, merged in input order after the
-/// join — worker scheduling can never reorder the trace), RS corrected-
-/// symbol and erasure counters, and the clean-frame fast-path hit ratio.
-///
-/// The recorder only observes: payload bytes and [`StreamStats`] are
-/// identical to the untraced path, and a disabled handle skips the
-/// sharded fan-out entirely.
+/// The recorder only observes, and a disabled handle skips the sharded
+/// fan-out entirely.
 pub fn decode_stream_traced(
     geom: &EmblemGeometry,
     scans: &[GrayImage],
@@ -297,15 +330,17 @@ pub fn decode_stream_traced(
     } else {
         ule_par::map(threads, scans, |scan| decode_emblem(geom, scan))
     };
+    record_decode_health(tel, &results);
     let mut decoded: Vec<(EmblemHeader, Vec<u8>, DecodeStats)> = Vec::new();
     for r in results {
         match r {
-            Ok(r) => decoded.push(r),
+            Ok(r) => {
+                stats.rs_corrected += r.2.rs_corrected;
+                decoded.push(r);
+            }
             Err(_) => stats.failed_scans += 1,
         }
     }
-    tel.add("decode.frames_total", scans.len() as u64);
-    tel.add("decode.frames_failed", stats.failed_scans as u64);
     if decoded.is_empty() {
         return Err(StreamError::NoEmblems);
     }
@@ -313,21 +348,6 @@ pub fn decode_stream_traced(
     if decoded.iter().any(|(h, _, _)| h.total_len != total_len) {
         return Err(StreamError::InconsistentHeaders);
     }
-    let mut clean_frames = 0u64;
-    for (_, _, s) in &decoded {
-        stats.rs_corrected += s.rs_corrected;
-        if s.rs_corrected == 0 {
-            clean_frames += 1;
-        } else {
-            tel.add("decode.frames_corrected", 1);
-        }
-        tel.add("decode.corrected_symbols", s.rs_corrected as u64);
-        tel.add("decode.sync_errors", s.sync_errors as u64);
-        if s.header_copy_used > 0 {
-            tel.add("decode.header_retries", 1);
-        }
-    }
-    tel.add("decode.clean_frames", clean_frames);
 
     let cap = geom.payload_capacity();
     let n_chunks = (total_len as usize).div_ceil(cap).max(1);

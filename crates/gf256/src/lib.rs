@@ -13,9 +13,7 @@
 //!   `RsCode::new(255, 223)` intra-emblem (corrects up to 16 byte errors,
 //!   16/223 ≈ 7.2% of user data, matching §3.1 of the paper) and
 //!   `RsCode::new(20, 17)` across emblem groups (any 3 missing emblems of
-//!   20 are recovered by erasure decoding). `RsCode::encode_batch` /
-//!   `RsCode::decode_batch` fan independent codewords out across an
-//!   [`ule_par::ThreadConfig`] worker pool with byte-identical results.
+//!   20 are recovered by erasure decoding).
 //! * [`kernels`] — the vectorized slice layer (`DESIGN.md` §12): per-
 //!   constant 4-bit split tables driving u64-SWAR [`GfKernels::mul_slice`]
 //!   / [`GfKernels::mul_add_slice`] primitives plus slice-Horner

@@ -25,7 +25,6 @@
 use crate::gf::{Gf256, GROUP_ORDER};
 use crate::kernels::{xor_slice, GfKernels};
 use crate::poly;
-use ule_par::ThreadConfig;
 
 /// Decoding failure reasons.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -422,37 +421,6 @@ impl RsCode {
         Ok(positions)
     }
 
-    /// Encode a batch of k-byte messages, fanning the independent codewords
-    /// out across `threads` workers. Output order (and bytes) is identical
-    /// to mapping [`RsCode::encode`] serially — the batch helpers exist so
-    /// MOCoder's inner code can saturate the hardware without ever changing
-    /// what lands on the medium.
-    pub fn encode_batch(&self, msgs: &[&[u8]], threads: ThreadConfig) -> Vec<Vec<u8>> {
-        ule_par::map(threads, msgs, |m| self.encode(m))
-    }
-
-    /// Decode a batch of n-byte codewords (no erasures) in parallel. Each
-    /// entry yields the corrected codeword plus the number of corrected
-    /// positions, or the per-codeword error; one bad block does not poison
-    /// its neighbours. Clean codewords ride [`RsCode::decode`]'s fast path
-    /// — a batch from undamaged media costs one syndromes pass per block.
-    ///
-    /// Note: the emblem hot path (`ule_emblem`'s `inner_decode_with`)
-    /// de-interleaves and corrects each block inside its own worker job
-    /// rather than materialising a codeword table for this helper — this
-    /// is the general-purpose batch surface for callers that already hold
-    /// codewords (it clones each input to leave the originals intact).
-    pub fn decode_batch(
-        &self,
-        cws: &[Vec<u8>],
-        threads: ThreadConfig,
-    ) -> Vec<Result<(Vec<u8>, usize), RsError>> {
-        ule_par::map(threads, cws, |cw| {
-            let mut c = cw.clone();
-            self.decode(&mut c, &[]).map(|fixed| (c, fixed))
-        })
-    }
-
     /// Λ ← Λ + (Δ / b) · x^m · B
     fn bm_update(&self, lambda: &[u8], b: &[u8], delta: u8, bden: u8, m: usize) -> Vec<u8> {
         let gf = &self.gf;
@@ -700,35 +668,6 @@ mod tests {
         let rs = RsCode::new(255, 223);
         let cw = rs.encode(&vec![0u8; 223]);
         assert!(cw.iter().all(|&b| b == 0));
-    }
-
-    #[test]
-    fn encode_batch_matches_serial_at_any_thread_count() {
-        let rs = RsCode::new(255, 223);
-        let msgs: Vec<Vec<u8>> = (0..23u8).map(|s| sample_msg(223, s)).collect();
-        let refs: Vec<&[u8]> = msgs.iter().map(|m| m.as_slice()).collect();
-        let serial = rs.encode_batch(&refs, ThreadConfig::Serial);
-        assert_eq!(serial.len(), msgs.len());
-        for threads in [2usize, 4, 8] {
-            let par = rs.encode_batch(&refs, ThreadConfig::Fixed(threads));
-            assert_eq!(par, serial, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn decode_batch_isolates_the_bad_block() {
-        let rs = RsCode::new(255, 223);
-        let mut cws: Vec<Vec<u8>> = (0..4u8).map(|s| rs.encode(&sample_msg(223, s))).collect();
-        cws[0][7] ^= 0x55; // 1 correctable error
-        for i in 0..33 {
-            cws[2][i * 7] ^= 0xA5; // far beyond capacity
-        }
-        let out = rs.decode_batch(&cws, ThreadConfig::Fixed(3));
-        assert_eq!(out[0].as_ref().unwrap().1, 1);
-        assert_eq!(out[1].as_ref().unwrap().1, 0);
-        assert!(out[2].is_err(), "block 2 must fail alone");
-        assert!(out[3].is_ok());
-        assert_eq!(&out[0].as_ref().unwrap().0[..223], &sample_msg(223, 0)[..]);
     }
 
     /// The pre-kernel scalar parity loop, retained as the reference the

@@ -14,7 +14,8 @@
 //!
 //! [`ThreadConfig::Serial`] bypasses the pool entirely (no threads are
 //! spawned), which is the default everywhere: parallelism is strictly
-//! opt-in via `MicrOlonys { threads, .. }` or the `*_with` entry points.
+//! opt-in via `MicrOlonys { threads, .. }` or a stage's full form (the
+//! one that takes a `ThreadConfig`).
 
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -11,7 +11,7 @@
 //!    chunk/frame range` is written on the medium as its own emblem
 //!    stream ([`ule_emblem::EmblemKind::Index`]);
 //! 2. **selective restore** — [`Vault::restore_table`] decodes only the
-//!    frames the index names (via [`MicrOlonys::restore_frames_traced`],
+//!    frames the index names (via [`MicrOlonys::restore_frames`],
 //!    fanned over `ule_par`) and returns bytes identical to the
 //!    corresponding slice of a full restore. A damaged index degrades to
 //!    the full-scan path, never to wrong bytes;
@@ -65,7 +65,7 @@ use segment::{segment_dump, Segment};
 use ule_compress::ArchiveError;
 use ule_emblem::stream::{chunk_global_index, StreamError, GROUP_DATA, GROUP_PARITY};
 use ule_emblem::{
-    decode_emblem, decode_stream_traced, encode_emblem, encode_stream_with, EmblemKind,
+    decode_emblem, decode_stream_traced, encode_emblem, encode_stream_traced, EmblemKind,
 };
 use ule_gf256::crc::{crc32, crc32_update};
 use ule_gf256::RsCode;
@@ -362,7 +362,7 @@ impl From<IndexError> for VaultError {
 }
 
 /// The vault configuration: a base [`MicrOlonys`] system (medium, DBCoder
-/// scheme, worker pool) plus the reel topology.
+/// scheme, worker pool, telemetry) plus the reel topology.
 #[derive(Clone)]
 pub struct Vault {
     pub system: MicrOlonys,
@@ -371,10 +371,6 @@ pub struct Vault {
     /// Zone-map spec applied at archive time (`None` = every segment is
     /// one opaque record — byte-identical to pre-zone-map composition).
     pub zone_spec: Option<ZoneSpec>,
-    /// Pipeline telemetry handle. Off by default; the recorder only
-    /// observes (spans, counters) — restored bytes are identical either
-    /// way.
-    pub telemetry: Telemetry,
 }
 
 impl Vault {
@@ -384,7 +380,6 @@ impl Vault {
             system,
             plan: ShardPlan::unsharded(),
             zone_spec: Some(ZoneSpec::tpch_default()),
-            telemetry: Telemetry::off(),
         }
     }
 
@@ -404,13 +399,13 @@ impl Vault {
             system,
             plan,
             zone_spec: Some(ZoneSpec::tpch_default()),
-            telemetry: Telemetry::off(),
         }
     }
 
-    /// This vault with a telemetry recorder attached (builder style).
+    /// This vault with a telemetry recorder attached to its system
+    /// (builder style; see [`MicrOlonys::with_telemetry`]).
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
-        self.telemetry = telemetry;
+        self.system.telemetry = telemetry;
         self
     }
 
@@ -536,6 +531,7 @@ impl Vault {
     pub fn archive(&self, dump: &[u8]) -> VaultArchive {
         let geom = self.system.medium.geometry;
         let threads = self.system.threads;
+        let tel = &self.system.telemetry;
         let (data_bytes, index, index_bytes) = self.compose(dump);
         let sys_bytes = MicrOlonys::system_stream_bytes();
 
@@ -564,7 +560,7 @@ impl Vault {
             (EmblemKind::Index, &index_bytes),
             (EmblemKind::Data, &data_bytes),
         ] {
-            let emblems = encode_stream_with(&geom, kind, bytes, parity, threads);
+            let emblems = encode_stream_traced(&geom, kind, bytes, parity, threads, tel);
             frames.extend(self.system.medium.print_all_with(&emblems, threads));
         }
         debug_assert_eq!(frames.len(), layout.total_frames());
@@ -606,12 +602,13 @@ impl Vault {
                 let refs: Vec<&[u8]> = streams.iter().map(|s| s.as_slice()).collect();
                 let rs = RsCode::new(members.len() + m, members.len());
                 for (slot, parity_bytes) in rs.parity_of(&refs).into_iter().enumerate() {
-                    let emblems = encode_stream_with(
+                    let emblems = encode_stream_traced(
                         &geom,
                         EmblemKind::ReelParity,
                         &parity_bytes,
                         false,
                         threads,
+                        tel,
                     );
                     reels.push(Reel {
                         id: layout.parity_reel_of(g, slot),
@@ -724,7 +721,7 @@ impl Vault {
         bootstrap: &Bootstrap,
         reels: &ReelScans,
     ) -> Result<(Vec<u8>, VaultRestoreStats), VaultError> {
-        let _span = self.telemetry.span("vault.restore_all");
+        let _span = self.system.telemetry.span("vault.restore_all");
         let Some(manifest) = &bootstrap.vault else {
             // Pre-S16 archive: no catalog, no reel map — concatenate
             // whatever survives and lean on the outer code.
@@ -735,7 +732,7 @@ impl Vault {
                 .collect();
             let mut stats = VaultRestoreStats::new(RestorePath::Classic, scans.len());
             stats.frames_decoded = scans.len();
-            let (dump, r) = self.system.restore_native_traced(&scans, &self.telemetry)?;
+            let (dump, r) = self.system.restore_native(&scans)?;
             stats.corrected_symbols = r.rs_corrected;
             stats.erasure_frames = r.erasure_frames;
             return Ok((dump, stats));
@@ -759,7 +756,7 @@ impl Vault {
         reels: &ReelScans,
         table: &str,
     ) -> Result<(Vec<u8>, VaultRestoreStats), VaultError> {
-        let _span = self.telemetry.span("vault.restore_table");
+        let _span = self.system.telemetry.span("vault.restore_table");
         let (scan, stats) = self.read_table(bootstrap, reels, table, &ZonePredicate::all())?;
         Ok((scan.concat(), stats))
     }
@@ -783,7 +780,7 @@ impl Vault {
         table: &str,
         pred: &ZonePredicate,
     ) -> Result<(TableScan, QueryStats), VaultError> {
-        let _span = self.telemetry.span("vault.query_table");
+        let _span = self.system.telemetry.span("vault.query_table");
         let (scan, stats) = self.read_table(bootstrap, reels, table, pred)?;
         Ok(self.finish_query(scan, stats))
     }
@@ -887,7 +884,7 @@ impl Vault {
     /// zone/piece counters to the telemetry recorder.
     fn finish_query(&self, scan: TableScan, stats: VaultRestoreStats) -> (TableScan, QueryStats) {
         let q = QueryStats::from_scan(&scan, stats);
-        let t = &self.telemetry;
+        let t = &self.system.telemetry;
         t.add("query.zones_total", q.zones_total as u64);
         t.add("query.zones_scanned", q.zones_scanned as u64);
         t.add("query.zones_pruned", q.zones_pruned as u64);
@@ -992,12 +989,12 @@ impl Vault {
         let scans: Vec<GrayImage> = positions.iter().map(|&p| source.get(p).clone()).collect();
         stats.frames_decoded += scans.len();
         let (bytes, s) = {
-            let _span = self.telemetry.span("vault.read_index");
+            let _span = self.system.telemetry.span("vault.read_index");
             decode_stream_traced(
                 &self.system.medium.geometry,
                 &scans,
                 self.system.threads,
-                &self.telemetry,
+                &self.system.telemetry,
             )?
         };
         stats.corrected_symbols += s.rs_corrected;
@@ -1067,7 +1064,7 @@ impl Vault {
                 .iter()
                 .map(|&i| (expects[i], source.get(positions[i])))
                 .collect();
-            let (payloads, r) = self.system.restore_frames_traced(&scans, &self.telemetry);
+            let (payloads, r) = self.system.restore_frames(&scans);
             corrected += r.rs_corrected;
             payloads
         };
@@ -1121,12 +1118,12 @@ impl Vault {
         source.ensure(self, &positions, stats)?;
         let scans: Vec<GrayImage> = positions.iter().map(|&p| source.get(p).clone()).collect();
         stats.frames_decoded += scans.len();
-        let _span = self.telemetry.span("vault.full_restore");
+        let _span = self.system.telemetry.span("vault.full_restore");
         let (data_bytes, s) = decode_stream_traced(
             &self.system.medium.geometry,
             &scans,
             self.system.threads,
-            &self.telemetry,
+            &self.system.telemetry,
         )?;
         stats.corrected_symbols += s.rs_corrected;
         stats.erasure_frames += s.erasure_frames;
@@ -1223,7 +1220,7 @@ impl Vault {
             .collect();
 
         let blank = GrayImage::new(geom.image_width(), geom.image_height(), 255);
-        let _span = self.telemetry.span("vault.reconstruct_group");
+        let _span = self.system.telemetry.span("vault.reconstruct_group");
         // Per offset: (rebuilt frames, source frames decoded, inner-RS
         // symbols corrected along the way).
         type OffsetResult = (Vec<((usize, usize), GrayImage, bool)>, usize, usize);
@@ -1413,7 +1410,7 @@ impl<'a> FrameSource<'a> {
                 wants.extend((0..self.layout.reel_frames(reel)).map(|j| (reel, j)));
                 self.touched.insert(reel);
                 stats.reels_reconstructed += 1;
-                vault.telemetry.add("vault.reels_reconstructed", 1);
+                vault.system.telemetry.add("vault.reels_reconstructed", 1);
             }
         }
         self.rebuild(vault, &wants, stats)
@@ -1436,7 +1433,7 @@ impl<'a> FrameSource<'a> {
         for &(reel, _) in &fresh {
             if self.touched.insert(reel) {
                 stats.reels_reconstructed += 1;
-                vault.telemetry.add("vault.reels_reconstructed", 1);
+                vault.system.telemetry.add("vault.reels_reconstructed", 1);
             }
         }
         self.rebuild(vault, &fresh, stats)

@@ -162,7 +162,7 @@ impl Vault {
         bootstrap: &Bootstrap,
         reels: &ReelScans,
     ) -> Result<ScrubReport, VaultError> {
-        let _span = self.telemetry.span("vault.scrub");
+        let _span = self.system.telemetry.span("vault.scrub");
         let Some(manifest) = &bootstrap.vault else {
             return Err(VaultError::ShapeMismatch(
                 "classic archive carries no reel manifest to scrub".into(),
@@ -346,7 +346,7 @@ impl Vault {
         bootstrap: &Bootstrap,
         reels: &mut ReelScans,
     ) -> Result<RepairReport, VaultError> {
-        let _span = self.telemetry.span("vault.repair");
+        let _span = self.system.telemetry.span("vault.repair");
         let scrub = self.scrub(bootstrap, reels)?;
         let manifest = bootstrap.vault.as_ref().expect("scrub validated");
         let layout = self.layout_of(bootstrap, manifest);
@@ -493,7 +493,7 @@ impl Vault {
 
     fn count_scrub(&self, report: &ScrubReport) {
         let (clean, correctable, lost) = report.counts();
-        let t = &self.telemetry;
+        let t = &self.system.telemetry;
         t.add("scrub.reels_clean", clean as u64);
         t.add("scrub.reels_correctable", correctable as u64);
         t.add("scrub.reels_lost", lost as u64);
@@ -509,7 +509,7 @@ impl Vault {
     }
 
     fn count_repair(&self, report: &RepairReport) {
-        let t = &self.telemetry;
+        let t = &self.system.telemetry;
         t.add("repair.reels_rebuilt", report.reels_rebuilt.len() as u64);
         t.add("repair.frames_reencoded", report.frames_reencoded as u64);
         t.add(

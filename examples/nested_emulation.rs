@@ -14,9 +14,8 @@ use ule::verisc::vm::EngineKind;
 fn main() {
     let system = MicrOlonys {
         medium: Medium::test_micro(),
-        scheme: ule::compress::Scheme::Lzss,
         with_parity: false,
-        threads: ule::par::ThreadConfig::Serial,
+        ..MicrOlonys::test_tiny()
     };
     let dump = b"CREATE TABLE r (k integer, v text);\n\
 COPY r (k, v) FROM stdin;\n\

@@ -9,8 +9,8 @@
 
 use ule::emblem::geometry::{RS_K, RS_N};
 use ule::emblem::{
-    decode_emblem, decode_stream, encode_stream, inner_decode_with, inner_encode_with,
-    EmblemGeometry, EmblemKind, ThreadConfig,
+    decode_emblem, decode_stream, encode_stream, inner_decode_with, inner_encode, EmblemGeometry,
+    EmblemKind, ThreadConfig,
 };
 use ule::gf256::RsError;
 use ule::media::Medium;
@@ -164,7 +164,7 @@ fn whole_emblem_damage_boundary_per_medium() {
         let geom = medium.geometry;
         let nblocks = geom.rs_blocks();
         let data = payload(geom.payload_capacity(), 7 + mi as u8);
-        let coded = inner_encode_with(&geom, &data, threads);
+        let coded = inner_encode(&geom, &data);
 
         // 16 errors in every block: the exact boundary, must recover.
         let mut damaged = coded.clone();

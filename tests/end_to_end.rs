@@ -2,21 +2,21 @@
 //! substrate, spanning tpch → compress → emblem → media → core.
 
 use ule::compress::Scheme;
-use ule::media::Medium;
 use ule::olonys::MicrOlonys;
+use ule::par::ThreadConfig;
+
+/// The tiny system on the worker pool `ULE_TEST_THREADS` names: the CI
+/// matrix runs this suite serial and at 4 threads, and the restored bytes
+/// must not notice.
+fn tiny() -> MicrOlonys {
+    MicrOlonys::test_tiny().with_threads(ThreadConfig::from_env_or(ThreadConfig::Serial))
+}
 
 #[test]
 fn tpch_dump_archives_and_restores_bit_exact() {
     let dump = ule::tpch::dump_for_scale(0.00005, 11);
     assert!(dump.len() > 5_000);
-    let system = MicrOlonys {
-        medium: Medium::test_tiny(),
-        scheme: Scheme::Lzss,
-        with_parity: true,
-        // The CI matrix runs this suite serial and at 4 threads; the
-        // restored bytes must not notice (ULE_TEST_THREADS).
-        threads: ule::par::ThreadConfig::from_env_or(ule::par::ThreadConfig::Serial),
-    };
+    let system = tiny();
     let out = system.archive(&dump);
     let scans = system.medium.scan_all(&out.data_frames, 4242);
     let (restored, _) = system.restore_native(&scans).expect("restore");
@@ -32,12 +32,7 @@ fn tpch_dump_archives_and_restores_bit_exact() {
 fn all_schemes_survive_the_media_path() {
     let dump = ule::tpch::dump_for_scale(0.00002, 3);
     for scheme in Scheme::ALL {
-        let system = MicrOlonys {
-            medium: Medium::test_tiny(),
-            scheme,
-            with_parity: true,
-            threads: ule::par::ThreadConfig::from_env_or(ule::par::ThreadConfig::Serial),
-        };
+        let system = MicrOlonys { scheme, ..tiny() };
         let out = system.archive(&dump);
         let scans = system.medium.scan_all(&out.data_frames, 7 + scheme as u64);
         let (restored, _) = system.restore_native(&scans).expect("restore");

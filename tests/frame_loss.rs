@@ -9,9 +9,10 @@
 //! taken from `ULE_TEST_THREADS`, so the CI matrix runs this file serial
 //! and 4-threaded.
 
-use ule::emblem::{decode_stream_with, encode_stream_with, EmblemKind, StreamError};
+use ule::emblem::{decode_stream_traced, encode_stream_traced, EmblemKind, StreamError};
 use ule::fault::{FaultPlan, FrameLossFault, FrameReorderFault};
 use ule::media::Medium;
+use ule::obs::Telemetry;
 use ule::olonys::{EmulationTier, MicrOlonys, RestoreError};
 use ule::par::ThreadConfig;
 use ule::raster::GrayImage;
@@ -122,6 +123,7 @@ fn production_geometry_stream_loss_matrix() {
     // The same budget at the stream layer on all three §4 production
     // geometries: 2 data + 3 parity emblems; any 3 lost is recoverable,
     // 4 lost must fail as a clean FrameLoss naming the victims.
+    let off = Telemetry::off();
     for medium in [
         Medium::paper_a4_600dpi(),
         Medium::microfilm_16mm(),
@@ -131,11 +133,11 @@ fn production_geometry_stream_loss_matrix() {
         let payload: Vec<u8> = (0..geom.payload_capacity() + 500)
             .map(|i| (i as u8).wrapping_mul(31).wrapping_add(5))
             .collect();
-        let images = encode_stream_with(&geom, EmblemKind::Data, &payload, true, threads());
+        let images = encode_stream_traced(&geom, EmblemKind::Data, &payload, true, threads(), &off);
         assert_eq!(images.len(), 5, "{}", medium.name);
 
         let kept = drop_frames(&images, &[0, 2, 4]);
-        let (restored, stats) = decode_stream_with(&geom, &kept, threads())
+        let (restored, stats) = decode_stream_traced(&geom, &kept, threads(), &off)
             .unwrap_or_else(|e| panic!("{}: 3 lost of 5 must restore: {e}", medium.name));
         assert_eq!(restored, payload, "{}", medium.name);
         // Victims 0/2/4 are one data and two parity emblems; only the
@@ -143,7 +145,7 @@ fn production_geometry_stream_loss_matrix() {
         assert_eq!(stats.emblems_recovered, 1, "{}", medium.name);
 
         let kept = drop_frames(&images, &[0, 1, 2, 3]);
-        match decode_stream_with(&geom, &kept, threads()) {
+        match decode_stream_traced(&geom, &kept, threads(), &off) {
             Err(StreamError::FrameLoss {
                 group,
                 expected,
@@ -167,9 +169,8 @@ fn emulated_path_reports_lost_frames_and_survives_shuffles() {
     // order at all.
     let sys = MicrOlonys {
         medium: Medium::test_micro(),
-        scheme: ule::compress::Scheme::Lzss,
         with_parity: false,
-        threads: ThreadConfig::Serial,
+        ..MicrOlonys::test_tiny()
     };
     let dump = b"COPY t (a) FROM stdin;\n1\n2\n3\n4\n5\n\\.\n".to_vec();
     let out = sys.archive(&dump);
@@ -222,9 +223,7 @@ fn emulated_path_ignores_parity_frames_in_the_pile() {
     // Bootstrap's outer line must teach it the index layout).
     let sys = MicrOlonys {
         medium: Medium::test_micro(),
-        scheme: ule::compress::Scheme::Lzss,
-        with_parity: true,
-        threads: ThreadConfig::Serial,
+        ..MicrOlonys::test_tiny()
     };
     let dump = b"COPY t (a) FROM stdin;\n9\n8\n\\.\n".to_vec();
     let out = sys.archive(&dump);

@@ -31,9 +31,10 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 use ule::compress::Scheme;
 use ule::emblem::stream::stream_crc32;
-use ule::emblem::{encode_stream_with, EmblemKind};
+use ule::emblem::{encode_stream_traced, EmblemKind};
 use ule::gf256::crc::crc32;
 use ule::media::Medium;
+use ule::obs::Telemetry;
 use ule::olonys::MicrOlonys;
 use ule::par::ThreadConfig;
 
@@ -123,7 +124,14 @@ fn compute_observables(full: bool) -> String {
         if !full && medium.name != "test medium" {
             continue;
         }
-        let images = encode_stream_with(&geom, EmblemKind::Data, &archive, true, threads);
+        let images = encode_stream_traced(
+            &geom,
+            EmblemKind::Data,
+            &archive,
+            true,
+            threads,
+            &Telemetry::off(),
+        );
         writeln!(out, "{key}.stream_crc32 = {:08x}", stream_crc32(&images)).unwrap();
 
         // Fault-injected scans under the medium's canonical decay scenario

@@ -6,7 +6,6 @@
 //! `tests/golden_format.rs` pins the absolute bytes; this suite pins the
 //! serial/parallel and native/emulated equivalences.
 
-use ule::compress::Scheme;
 use ule::media::Medium;
 use ule::olonys::{EmulationTier, MicrOlonys};
 use ule::par::ThreadConfig;
@@ -101,9 +100,8 @@ fn emulated_restore_matches_native_restore() {
     // cell.)
     let sys = MicrOlonys {
         medium: Medium::test_micro(),
-        scheme: Scheme::Lzss,
         with_parity: false,
-        threads: ThreadConfig::Fixed(4),
+        ..tiny(ThreadConfig::Fixed(4))
     };
     let dump = b"COPY t (k, v) FROM stdin;\n1\tserial\n2\tparallel\n\\.\n".to_vec();
     let out = sys.archive(&dump);
@@ -137,10 +135,8 @@ fn emulated_restore_is_byte_identical_at_any_thread_count() {
     // identity that protects the native path must hold here — restored
     // bytes, per-frame CRC, and even the guest instruction count.
     let sys = MicrOlonys {
-        medium: Medium::test_tiny(),
-        scheme: Scheme::Lzss,
         with_parity: false,
-        threads: ThreadConfig::Serial,
+        ..MicrOlonys::test_tiny()
     };
     let dump = sample_dump();
     let out = sys.archive(&dump);

@@ -2,7 +2,6 @@
 //! implementation, driven only by the Bootstrap document, restores the
 //! archive identically.
 
-use ule::compress::Scheme;
 use ule::media::Medium;
 use ule::olonys::{Bootstrap, EmulationTier, MicrOlonys};
 use ule::verisc::vm::EngineKind;
@@ -10,9 +9,8 @@ use ule::verisc::vm::EngineKind;
 fn micro() -> MicrOlonys {
     MicrOlonys {
         medium: Medium::test_micro(),
-        scheme: Scheme::Lzss,
         with_parity: false,
-        threads: ule::par::ThreadConfig::Serial,
+        ..MicrOlonys::test_tiny()
     }
 }
 

@@ -64,7 +64,29 @@ fn telemetry_on_restore_is_byte_identical_to_off() {
             tel.counter("decode.erasure_frames"),
             stats_on.erasure_frames as u64
         );
+
+        // The field-carried recorder and the argument-taking shim record
+        // the same thing: same bytes, stats, counters and span calls.
+        let field = Telemetry::enabled();
+        let (bytes_field, stats_field) = sys
+            .clone()
+            .with_telemetry(field.clone())
+            .restore_native(&scans)
+            .expect("field-telemetry restore");
+        assert_eq!(bytes_field, bytes_on);
+        assert_eq!(format!("{stats_field:?}"), format!("{stats_on:?}"));
+        let (a, b) = (field.snapshot(), tel.snapshot());
+        assert_eq!(a.counters, b.counters, "counters differ at {threads:?}");
+        assert_eq!(
+            span_calls(&a),
+            span_calls(&b),
+            "spans differ at {threads:?}"
+        );
     }
+}
+
+fn span_calls(t: &ule::obs::Trace) -> Vec<(String, u64)> {
+    t.spans.iter().map(|(n, s)| (n.clone(), s.calls)).collect()
 }
 
 #[test]
@@ -77,23 +99,21 @@ fn counters_are_identical_serial_and_threaded() {
     let out = sys_serial.archive(&dump);
     let scans = degraded_scans(&sys_serial, &out);
 
-    let tel_serial = Telemetry::enabled();
-    let (bytes_serial, _) = sys_serial
-        .restore_native_traced(&scans, &tel_serial)
+    let traced_serial = sys_serial.with_telemetry(Telemetry::enabled());
+    let (bytes_serial, _) = traced_serial
+        .restore_native(&scans)
         .expect("serial restore");
 
-    let tel_par = Telemetry::enabled();
-    let (bytes_par, _) = tiny(ThreadConfig::Fixed(4))
-        .restore_native_traced(&scans, &tel_par)
-        .expect("4-thread restore");
+    let traced_par = tiny(ThreadConfig::Fixed(4)).with_telemetry(Telemetry::enabled());
+    let (bytes_par, _) = traced_par.restore_native(&scans).expect("4-thread restore");
 
     assert_eq!(bytes_par, bytes_serial);
-    let (a, b) = (tel_serial.snapshot(), tel_par.snapshot());
+    let (a, b) = (
+        traced_serial.telemetry.snapshot(),
+        traced_par.telemetry.snapshot(),
+    );
     assert_eq!(a.counters, b.counters, "counters differ serial vs 4-thread");
-    let calls = |t: &ule::obs::Trace| -> Vec<(String, u64)> {
-        t.spans.iter().map(|(n, s)| (n.clone(), s.calls)).collect()
-    };
-    assert_eq!(calls(&a), calls(&b), "span call counts differ");
+    assert_eq!(span_calls(&a), span_calls(&b), "span call counts differ");
 }
 
 #[test]
@@ -115,10 +135,9 @@ fn corrected_frame_counter_matches_injected_fault_count() {
         frames[i] = hit.into_iter().next().unwrap();
     }
 
-    let tel = Telemetry::enabled();
-    let (bytes, stats) = sys
-        .restore_native_traced(&frames, &tel)
-        .expect("damaged restore");
+    let sys = sys.with_telemetry(Telemetry::enabled());
+    let (bytes, stats) = sys.restore_native(&frames).expect("damaged restore");
+    let tel = &sys.telemetry;
     assert_eq!(bytes, dump, "blotched frames must still decode bit-exact");
 
     let k = damaged_idx.len() as u64;
@@ -143,12 +162,12 @@ fn disabled_telemetry_records_nothing_on_a_full_pipeline() {
     // archive→scan→restore run through it must leave the trace empty.
     let dump = sample_dump();
     let sys = tiny(ThreadConfig::Serial);
-    let tel = Telemetry::off();
-    let out = sys.archive_traced(&dump, &tel);
+    assert!(!sys.telemetry.is_enabled(), "telemetry is off by default");
+    let out = sys.archive(&dump);
     let scans = degraded_scans(&sys, &out);
-    let (bytes, _) = sys.restore_native_traced(&scans, &tel).expect("restore");
+    let (bytes, _) = sys.restore_native(&scans).expect("restore");
     assert_eq!(bytes, dump);
-    let trace = tel.snapshot();
+    let trace = sys.telemetry.snapshot();
     assert!(trace.spans.is_empty());
     assert!(trace.counters.is_empty());
 }

@@ -438,6 +438,22 @@ fn damaged_frame_in_selective_range_is_rebuilt_not_full_scanned() {
         tel.counter("selective.frames_requested"),
         chunks.len() as u64 + 1
     );
+    // Decode health covers the selective frames too, not just the index
+    // stream: the blanked frame fails once and its rebuild is counted
+    // again, so the clean-frame ratio sees every decoded frame.
+    let total = tel.counter("decode.frames_total");
+    assert_eq!(
+        total,
+        (layout.index_frames() + chunks.len() + 1) as u64,
+        "index frames + table frames + the one retried frame"
+    );
+    assert_eq!(tel.counter("decode.frames_failed"), 1);
+    assert_eq!(
+        tel.counter("decode.clean_frames")
+            + tel.counter("decode.frames_corrected")
+            + tel.counter("decode.frames_failed"),
+        total
+    );
     let start = entry.dump_start as usize;
     assert_eq!(bytes, &dump[start..start + entry.dump_len as usize]);
 }
