@@ -85,7 +85,7 @@ proptest! {
     ) {
         let plan = plan_from(&selectors);
         let frames = scanned_frames(nframes, seed);
-        // The CI matrix runs this test under ULE_TEST_THREADS ∈ {1, 4};
+        // CI runs this test with ULE_TEST_THREADS unset and set to 4;
         // the env-selected pool, an explicit 4-thread pool, and the serial
         // path must all produce identical bytes.
         let serial = plan.apply(&frames, severity, plan_seed);

@@ -8,8 +8,9 @@
 //! * [`pnm`] — PGM (P5) / PBM (P4) serialization so every artifact in the
 //!   pipeline can be dumped and inspected;
 //! * [`draw`] — the rectangle/grid primitives the emblem renderer uses;
-//! * [`sample`] — bilinear sampling and resizing (2K film frames are
-//!   scanned at 4K in the paper's cinema experiment);
+//! * [`sample`] — the bilinear sampler the scanner's geometry pass reads
+//!   through (2K film frames are scanned at 4K in the paper's cinema
+//!   experiment) and block means;
 //! * [`scan`] — the physical degradation model of §3.1: fading, hot spots,
 //!   scratches, dust, lens curvature and transport jitter, all seeded and
 //!   deterministic;

@@ -1,43 +1,43 @@
-//! Sub-pixel sampling and resizing.
+//! Sub-pixel sampling and block averaging.
 
 use crate::image::GrayImage;
 
 /// Bilinear sample at fractional coordinates (edge-clamped).
 #[inline]
 pub fn bilinear(img: &GrayImage, x: f64, y: f64) -> f64 {
-    let x0 = x.floor();
-    let y0 = y.floor();
-    let fx = x - x0;
-    let fy = y - y0;
-    let x0i = x0 as isize;
-    let y0i = y0 as isize;
-    let p00 = img.get_clamped(x0i, y0i) as f64;
-    let p10 = img.get_clamped(x0i + 1, y0i) as f64;
-    let p01 = img.get_clamped(x0i, y0i + 1) as f64;
-    let p11 = img.get_clamped(x0i + 1, y0i + 1) as f64;
+    let (w, h) = (img.width(), img.height());
+    // Interior: all four taps are in bounds, so index the buffer directly.
+    // `x` and `y` are non-negative there, so truncation is their floor.
+    let (fx, fy, p00, p10, p01, p11) =
+        if x >= 0.0 && y >= 0.0 && x < w as f64 - 1.0 && y < h as f64 - 1.0 {
+            let (x0, y0) = (x as usize, y as usize);
+            let i = y0 * w + x0;
+            let d = img.as_bytes();
+            let (top, bottom) = (&d[i..i + 2], &d[i + w..i + w + 2]);
+            (
+                x - x0 as f64,
+                y - y0 as f64,
+                top[0],
+                top[1],
+                bottom[0],
+                bottom[1],
+            )
+        } else {
+            let x0 = x.floor();
+            let y0 = y.floor();
+            let x0i = x0 as isize;
+            let y0i = y0 as isize;
+            (
+                x - x0,
+                y - y0,
+                img.get_clamped(x0i, y0i),
+                img.get_clamped(x0i + 1, y0i),
+                img.get_clamped(x0i, y0i + 1),
+                img.get_clamped(x0i + 1, y0i + 1),
+            )
+        };
+    let (p00, p10, p01, p11) = (p00 as f64, p10 as f64, p01 as f64, p11 as f64);
     p00 * (1.0 - fx) * (1.0 - fy) + p10 * fx * (1.0 - fy) + p01 * (1.0 - fx) * fy + p11 * fx * fy
-}
-
-/// Resize with bilinear interpolation (used when a 2K film frame is
-/// scanned at 4K, and for emblem pyramid levels during detection).
-pub fn resize(img: &GrayImage, new_w: usize, new_h: usize) -> GrayImage {
-    assert!(new_w > 0 && new_h > 0);
-    let mut out = GrayImage::new(new_w, new_h, 0);
-    let sx = img.width() as f64 / new_w as f64;
-    let sy = img.height() as f64 / new_h as f64;
-    for y in 0..new_h {
-        for x in 0..new_w {
-            // Map pixel centres, not corners.
-            let src_x = (x as f64 + 0.5) * sx - 0.5;
-            let src_y = (y as f64 + 0.5) * sy - 0.5;
-            out.set(
-                x,
-                y,
-                bilinear(img, src_x, src_y).round().clamp(0.0, 255.0) as u8,
-            );
-        }
-    }
-    out
 }
 
 /// Average the `block × block` cell with top-left `(x, y)` (clipped).
@@ -75,30 +75,14 @@ mod tests {
     }
 
     #[test]
-    fn resize_identity() {
-        let img = GrayImage::from_raw(3, 2, vec![1, 2, 3, 4, 5, 6]);
-        assert_eq!(resize(&img, 3, 2), img);
-    }
-
-    #[test]
-    fn upscale_preserves_flat_regions() {
-        let img = GrayImage::new(10, 10, 77);
-        let up = resize(&img, 20, 20);
-        assert!(up.as_bytes().iter().all(|&p| p == 77));
-    }
-
-    #[test]
-    fn downscale_averages() {
-        let mut img = GrayImage::new(4, 4, 0);
-        for y in 0..4 {
-            for x in 2..4 {
-                img.set(x, y, 200);
-            }
-        }
-        let down = resize(&img, 2, 2);
-        // Left column black, right column bright.
-        assert!(down.get(0, 0) < 60);
-        assert!(down.get(1, 0) > 140);
+    fn bilinear_clamps_taps_past_the_edge() {
+        let img = GrayImage::from_raw(3, 2, vec![0, 100, 50, 200, 50, 150]);
+        // Interior and edge taps meet without a seam.
+        assert!((bilinear(&img, 1.999_999, 0.0) - 50.0).abs() < 1e-3);
+        assert_eq!(bilinear(&img, 2.0, 0.0), 50.0);
+        assert_eq!(bilinear(&img, 7.5, 1.0), 150.0);
+        assert_eq!(bilinear(&img, -4.0, -1.5), 0.0);
+        assert!((bilinear(&img, 0.5, 5.0) - 125.0).abs() < 1e-9);
     }
 
     #[test]

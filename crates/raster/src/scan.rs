@@ -66,8 +66,10 @@ impl DegradeParams {
         Self::default()
     }
 
-    /// Multiply every severity by `f` (used for robustness sweeps).
+    /// Multiply every severity by `f` (used for robustness sweeps). A
+    /// negative or NaN `f` counts as 0, an ideal scan.
     pub fn scaled(&self, f: f64) -> Self {
+        let f = f.max(0.0);
         Self {
             noise_sigma: self.noise_sigma * f,
             dust_per_mpx: self.dust_per_mpx * f,
@@ -82,6 +84,18 @@ impl DegradeParams {
             scan_scale: self.scan_scale,
         }
     }
+}
+
+/// `v.round().clamp(0.0, 255.0) as u8` without the `round` call, which is
+/// a libm call on baseline x86-64. Clamping first gives the same result
+/// (rounding is monotone and 0 and 255 are integers), and on [0, 255]
+/// `c − trunc(c)` is exact, so comparing it with 0.5 rounds half away from
+/// zero as `round` does. NaN maps to 0 either way.
+#[inline]
+fn round_to_u8(v: f64) -> u8 {
+    let c = v.clamp(0.0, 255.0);
+    let t = c as u8;
+    t + (c - t as f64 >= 0.5) as u8
 }
 
 /// A deterministic scanner: `scan()` maps a print master to the grayscale
@@ -176,37 +190,73 @@ impl Scanner {
         let half_diag = (cx * cx + cy * cy).sqrt();
         let inv_scale = 1.0 / p.scan_scale;
 
-        // Pass 1: geometry + fading + sensor noise, one pass, no inner
-        // loops (defects are painted sparsely afterwards — a page-sized
-        // frame has tens of millions of pixels).
+        // Pass 1: geometry + fading + sensor noise, row by row (defects are
+        // painted sparsely afterwards — a page-sized frame has tens of
+        // millions of pixels). Terms that depend only on the column are
+        // tabulated and terms that depend only on the row are hoisted. Each
+        // pixel still evaluates the same f64 expressions in the same order
+        // and the noise is drawn in row-major order, so the bytes are those
+        // of the plain per-pixel loop (the contract in DESIGN.md §2).
         let mut out = GrayImage::new(out_w, out_h, 0);
         let identity_geometry = p.lens_k == 0.0 && p.row_jitter == 0.0 && p.scan_scale == 1.0;
-        for y in 0..out_h {
-            let jit = jitter[y];
-            for x in 0..out_w {
-                let mut v = if identity_geometry {
-                    master.get(x, y) as f64
-                } else {
-                    let mut sx = x as f64;
-                    let sy = y as f64;
-                    let rx = (sx - cx) / half_diag;
-                    let ry = (sy - cy) / half_diag;
-                    let r2 = rx * rx + ry * ry;
-                    let factor = 1.0 + p.lens_k * r2;
-                    sx = cx + (sx - cx) * factor;
-                    let sy2 = cy + (sy - cy) * factor;
-                    sx += jit;
-                    bilinear(master, sx * inv_scale, sy2 * inv_scale)
-                };
-                if p.fade_amplitude > 0.0 {
-                    let fx = (x as f64 / out_w as f64 * 2.3 + fade_px).sin();
-                    let fy = (y as f64 / out_h as f64 * 1.7 + fade_py).sin();
-                    v += p.fade_amplitude * 0.5 * (fx + fy);
+        let fade = p.fade_amplitude > 0.0;
+        let fade_gain = p.fade_amplitude * 0.5;
+        // Per column: x − cx, the squared normalised lens radius term and
+        // the horizontal fade.
+        let col_dx: Vec<f64> = (0..out_w).map(|x| x as f64 - cx).collect();
+        let col_rx2: Vec<f64> = col_dx
+            .iter()
+            .map(|&dx| {
+                let rx = dx / half_diag;
+                rx * rx
+            })
+            .collect();
+        let col_fade: Vec<f64> = if fade {
+            (0..out_w)
+                .map(|x| (x as f64 / out_w as f64 * 2.3 + fade_px).sin())
+                .collect()
+        } else {
+            Vec::new()
+        };
+        // One row of f64 values, finished stage by stage: geometry, fade,
+        // noise, then rounding into the output row.
+        let mut vals = vec![0.0f64; out_w];
+        let (mut src_x, mut src_y) = (vec![0.0f64; out_w], vec![0.0f64; out_w]);
+        for (y, row) in out.as_bytes_mut().chunks_exact_mut(out_w).enumerate() {
+            if identity_geometry {
+                for (v, &m) in vals.iter_mut().zip(master.row(y)) {
+                    *v = m as f64;
                 }
-                if p.noise_sigma > 0.0 {
-                    v += rng.next_gaussian() * p.noise_sigma;
+            } else {
+                let dy = y as f64 - cy;
+                let ry = dy / half_diag;
+                let ry2 = ry * ry;
+                let jit = jitter[y];
+                // Source coordinates first, then the samples: two short
+                // loops keep more pixels in flight than one long one.
+                let coords = src_x.iter_mut().zip(src_y.iter_mut());
+                for (((sx, sy), &dx), &rx2) in coords.zip(&col_dx).zip(&col_rx2) {
+                    let factor = 1.0 + p.lens_k * (rx2 + ry2);
+                    *sx = (cx + dx * factor + jit) * inv_scale;
+                    *sy = (cy + dy * factor) * inv_scale;
                 }
-                out.set(x, y, v.round().clamp(0.0, 255.0) as u8);
+                for ((v, &sx), &sy) in vals.iter_mut().zip(&src_x).zip(&src_y) {
+                    *v = bilinear(master, sx, sy);
+                }
+            }
+            if fade {
+                let fy = (y as f64 / out_h as f64 * 1.7 + fade_py).sin();
+                for (v, &fx) in vals.iter_mut().zip(&col_fade) {
+                    *v += fade_gain * (fx + fy);
+                }
+            }
+            if p.noise_sigma > 0.0 {
+                for v in vals.iter_mut() {
+                    *v += rng.next_gaussian() * p.noise_sigma;
+                }
+            }
+            for (px, &v) in row.iter_mut().zip(&vals) {
+                *px = round_to_u8(v);
             }
         }
 
@@ -390,5 +440,59 @@ mod tests {
         assert_eq!(z.noise_sigma, 0.0);
         assert_eq!(z.scratches, 0);
         assert_eq!(z.lens_k, 0.0);
+    }
+
+    #[test]
+    fn round_to_u8_matches_round_then_clamp() {
+        let mut probes = vec![
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -0.0,
+            0.0,
+            -0.4,
+            -0.5,
+            -0.6,
+            0.5,
+            0.49999999999999994,
+            254.49999999999997,
+            254.5,
+            255.0,
+            255.4,
+            255.5,
+            1e300,
+        ];
+        let mut rng = SplitMix64::new(5);
+        probes.extend((0..10_000).map(|_| rng.next_f64() * 300.0 - 20.0));
+        // Every half-way point and its two f64 neighbours (never zero).
+        probes.extend((-2..260).flat_map(|k| {
+            let h = k as f64 + 0.5;
+            let (b, pos) = (h.to_bits(), h > 0.0);
+            let below = f64::from_bits(if pos { b - 1 } else { b + 1 });
+            let above = f64::from_bits(if pos { b + 1 } else { b - 1 });
+            [h, below, above]
+        }));
+        for v in probes {
+            assert_eq!(round_to_u8(v), v.round().clamp(0.0, 255.0) as u8, "{v:?}");
+        }
+    }
+
+    #[test]
+    fn negative_or_nan_severity_scans_like_zero() {
+        let m = master();
+        let p = DegradeParams {
+            noise_sigma: 5.0,
+            scratches: 2,
+            hotspots: 1,
+            hotspot_amplitude: 30.0,
+            row_jitter: 1.5,
+            lens_k: 0.01,
+            ..Default::default()
+        };
+        let zero = Scanner::new(p.scaled(0.0), 4).scan(&m);
+        for f in [-0.5, f64::NAN] {
+            assert_eq!(p.scaled(f), p.scaled(0.0), "severity {f}");
+            assert_eq!(Scanner::new(p.scaled(f), 4).scan(&m), zero, "severity {f}");
+        }
     }
 }

@@ -5,8 +5,8 @@ use ule::compress::Scheme;
 use ule::olonys::MicrOlonys;
 use ule::par::ThreadConfig;
 
-/// The tiny system on the worker pool `ULE_TEST_THREADS` names: the CI
-/// matrix runs this suite serial and at 4 threads, and the restored bytes
+/// The tiny system on the worker pool `ULE_TEST_THREADS` names: CI runs
+/// this suite serial and at 4 threads, and the restored bytes
 /// must not notice.
 fn tiny() -> MicrOlonys {
     MicrOlonys::test_tiny().with_threads(ThreadConfig::from_env_or(ThreadConfig::Serial))

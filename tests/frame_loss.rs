@@ -6,8 +6,8 @@
 //! failure must be the structured [`RestoreError::FrameLoss`] /
 //! [`StreamError::FrameLoss`] naming the absent global emblem indices —
 //! never a panic, never a hang, never silent garbage. The worker pool is
-//! taken from `ULE_TEST_THREADS`, so the CI matrix runs this file serial
-//! and 4-threaded.
+//! taken from `ULE_TEST_THREADS`, so CI runs this file serial and
+//! 4-threaded.
 
 use ule::emblem::{decode_stream_traced, encode_stream_traced, EmblemKind, StreamError};
 use ule::fault::{FaultPlan, FrameLossFault, FrameReorderFault};

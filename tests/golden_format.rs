@@ -19,9 +19,10 @@
 //! regression.
 //!
 //! **Runtime knob:** encoding and fault-scanning the three *production*
-//! media (A4 paper is ~33 MP per emblem) costs tens of seconds, so by
-//! default this suite pins only the cheap observables (geometry, plan
-//! counts, the full tiny-medium pipeline) and skips the production-media
+//! media (A4 paper is ~33 MP per emblem) takes about 13 s on a 2-core
+//! x86-64 VM, so by default this suite pins only the cheap observables
+//! (geometry, plan counts, the full tiny-medium pipeline, the scanner on
+//! a small synthetic master) and skips the production-media
 //! stream/fault CRCs; the comparison is key-based, so skipped keys are
 //! simply not checked. Set `ULE_GOLDEN_FULL=1` to compute and compare
 //! every golden line (CI's `e11-kernels` leg does; regeneration always
@@ -260,4 +261,104 @@ fn emblem_streams_and_frame_geometry_are_frozen() {
             "full sweep must cover every golden line"
         );
     }
+}
+
+/// The scanner simulation is part of the frozen surface too: every
+/// `*.fault_scan_crc32` line above, the E9 envelopes and the benchmark's
+/// input fingerprints are functions of its output bytes. Those are only
+/// checked under the full sweep, so this pins `Scanner::scan` itself on a
+/// small synthetic master in the default run — every `Medium` preset
+/// (scan scales 1.0, 1.28 and 2.0, plus the pristine identity path), two
+/// hand-made parameter sets with every effect on, and a noise-free 2x
+/// upscale.
+#[test]
+fn scanner_output_is_frozen() {
+    use ule::raster::{DegradeParams, GrayImage, Scanner};
+
+    // A dark ring around the centre and a checkerboard in one corner, on
+    // white; odd dimensions so the scaled output sizes round.
+    let (w, h) = (241usize, 187usize);
+    let mut master = GrayImage::new(w, h, 255);
+    let (cx, cy) = (w as f64 / 2.0, h as f64 / 2.0);
+    for y in 0..h {
+        for x in 0..w {
+            let r = ((x as f64 - cx).powi(2) + (y as f64 - cy).powi(2)).sqrt();
+            if (40.0..52.0).contains(&r) || (x < 64 && y < 64 && (x / 8 + y / 8) % 2 == 0) {
+                master.set(x, y, 0);
+            }
+        }
+    }
+    let every_effect = DegradeParams {
+        noise_sigma: 12.0,
+        dust_per_mpx: 400.0,
+        dust_max_radius: 2.0,
+        scratches: 2,
+        scratch_width: 1.5,
+        fade_amplitude: 20.0,
+        hotspots: 2,
+        hotspot_amplitude: 40.0,
+        row_jitter: 1.5,
+        lens_k: 0.02,
+        scan_scale: 1.28,
+    };
+    // Barrel distortion maps the output corner several pixels outside the
+    // master, so the sampler's clamped edge path is exercised.
+    let out_cx = (w as f64 * every_effect.scan_scale).round() / 2.0;
+    let corner_src_x = (out_cx - out_cx * (1.0 + every_effect.lens_k)) / every_effect.scan_scale;
+    assert!(corner_src_x < -2.0, "{corner_src_x}");
+    // The same effects on the identity geometry (no lens, jitter or scale).
+    let flat_geometry = DegradeParams {
+        row_jitter: 0.0,
+        lens_k: 0.0,
+        scan_scale: 1.0,
+        ..every_effect.clone()
+    };
+    // A noise-free 2x upscale: half-way taps between black and white land
+    // on exactly 127.5, which pins the round-half-away-from-zero rule.
+    let upscale = DegradeParams {
+        scan_scale: 2.0,
+        ..DegradeParams::default()
+    };
+
+    let mut scans: Vec<(String, GrayImage)> = [
+        Medium::paper_a4_600dpi(),
+        Medium::microfilm_16mm(),
+        Medium::cinema_35mm(),
+        Medium::test_tiny(),
+        Medium::test_micro(),
+    ]
+    .iter()
+    .map(|m| (slug(m.name), m.scan(&master, 0x5CA1)))
+    .collect();
+    scans.push((
+        "every_effect".into(),
+        Scanner::new(every_effect, 77).scan(&master),
+    ));
+    scans.push((
+        "flat_geometry".into(),
+        Scanner::new(flat_geometry, 78).scan(&master),
+    ));
+    scans.push(("upscale_2x".into(), Scanner::new(upscale, 79).scan(&master)));
+    let actual: Vec<String> = scans
+        .iter()
+        .map(|(k, s)| {
+            format!(
+                "{k} {}x{} {:08x}",
+                s.width(),
+                s.height(),
+                crc32(s.as_bytes())
+            )
+        })
+        .collect();
+    let golden = [
+        "A4_paper__600dpi 241x187 47f24c67",
+        "16mm_microfilm 308x239 f789cbe3",
+        "35mm_cinema_film 482x374 77ab6f2a",
+        "test_medium 241x187 ef4d92bc",
+        "micro_test_medium 241x187 5c992b4d",
+        "every_effect 308x239 2bda9db6",
+        "flat_geometry 241x187 2c9a2ffc",
+        "upscale_2x 482x374 359dff6c",
+    ];
+    assert_eq!(actual, golden);
 }
