@@ -17,7 +17,6 @@ use crate::header::{EmblemHeader, HEADER_BYTES};
 use crate::locate::{edge_map, find_border_box, EdgeMap};
 use crate::manchester::{bits_to_bytes, decode_cells};
 use ule_par::ThreadConfig;
-use ule_raster::sample::block_mean;
 use ule_raster::GrayImage;
 
 /// Decoding diagnostics.
@@ -66,19 +65,49 @@ impl std::fmt::Display for DecodeError {
 impl std::error::Error for DecodeError {}
 
 /// Grid resampler: maps content-cell coordinates to scan pixels by
-/// interpolating between the border edges (per-scanline), then samples the
-/// cell's mean intensity.
+/// interpolating between the border edges (per-scanline), then calls each
+/// cell white when the mean intensity of its central block reaches the
+/// threshold.
+///
+/// Terms that depend only on the frame, the column or the row are computed
+/// once, and each cell evaluates the same f64 expressions a per-cell
+/// sampler would; `DESIGN.md` §5 states the determinism contract.
 struct GridSampler<'a> {
     scan: &'a GrayImage,
     edges: EdgeMap,
-    cols: usize,
+    threshold: u8,
     rows: usize,
-    cell_w: f64,
-    cell_h: f64,
+    /// Horizontal grid fraction of every content column.
+    u: Vec<f64>,
+    half_w: f64,
+    half_h: f64,
+    block: usize,
+    /// Bit patterns of the `(left, right)` edge pair `columns` was built for.
+    columns_for: Option<(u64, u64)>,
+    columns: Vec<Column>,
+    #[cfg(test)]
+    column_refreshes: usize,
+}
+
+/// The row-independent half of one content column under a given
+/// left/right edge pair: its clipped pixel span and the top edge and
+/// border height at its centre.
+#[derive(Clone, Copy, Default)]
+struct Column {
+    x0: usize,
+    x1: usize,
+    yt: f64,
+    /// `yb - yt + 1.0`.
+    height: f64,
 }
 
 impl<'a> GridSampler<'a> {
-    fn new(scan: &'a GrayImage, bit: &GrayImage, geom: &EmblemGeometry) -> Option<Self> {
+    fn new(
+        scan: &'a GrayImage,
+        bit: &GrayImage,
+        geom: &EmblemGeometry,
+        threshold: u8,
+    ) -> Option<Self> {
         let bbox = find_border_box(bit)?;
         let total_cols = (geom.cols + 2 * EDGE_CELLS) as f64;
         let total_rows = (geom.rows + 2 * EDGE_CELLS) as f64;
@@ -86,47 +115,105 @@ impl<'a> GridSampler<'a> {
         let cell_h = bbox.height() as f64 / total_rows;
         let border_px = cell_w * 3.0;
         let edges = edge_map(bit, bbox, border_px);
+        let half_w = (cell_w * 0.3).max(0.5);
+        let half_h = (cell_h * 0.3).max(0.5);
+        let u = (0..geom.cols)
+            .map(|cx| (EDGE_CELLS as f64 + cx as f64 + 0.5) / (geom.cols + 2 * EDGE_CELLS) as f64)
+            .collect();
         Some(Self {
             scan,
             edges,
-            cols: geom.cols,
+            threshold,
             rows: geom.rows,
-            cell_w,
-            cell_h,
+            u,
+            half_w,
+            half_h,
+            block: ((half_w.min(half_h) * 2.0).round() as usize).max(1),
+            columns_for: None,
+            columns: vec![Column::default(); geom.cols],
+            #[cfg(test)]
+            column_refreshes: 0,
         })
     }
 
-    /// Scan-pixel centre of content cell (cx, cy).
-    #[inline]
-    fn cell_center(&self, cx: usize, cy: usize) -> (f64, f64) {
-        let u = (EDGE_CELLS as f64 + cx as f64 + 0.5) / (self.cols + 2 * EDGE_CELLS) as f64;
+    /// Decide the leading `out.len()` cells of content row `cy`
+    /// (`true` = white).
+    fn sample_row(&mut self, cy: usize, out: &mut [bool]) {
+        assert!(out.len() <= self.columns.len(), "row longer than the grid");
+        let bbox = self.edges.bbox;
         let v = (EDGE_CELLS as f64 + cy as f64 + 0.5) / (self.rows + 2 * EDGE_CELLS) as f64;
         // First approximation of the row from the box, then interpolate
         // along the border edge maps (which absorb smooth distortion).
-        let y_rough = self.edges.bbox.y0 as f64 + v * (self.edges.bbox.height() as f64 - 1.0);
-        let yi =
-            ((y_rough - self.edges.bbox.y0 as f64).round() as usize).min(self.edges.left.len() - 1);
-        let xl = self.edges.left[yi];
-        let xr = self.edges.right[yi];
-        let x = xl + u * (xr - xl + 1.0);
-        let xi = ((x - self.edges.bbox.x0 as f64).round() as isize)
-            .clamp(0, self.edges.top.len() as isize - 1) as usize;
-        let yt = self.edges.top[xi];
-        let yb = self.edges.bottom[xi];
-        let y = yt + v * (yb - yt + 1.0);
-        (x, y)
+        let y_rough = bbox.y0 as f64 + v * (bbox.height() as f64 - 1.0);
+        let yi = (round_half_away(y_rough - bbox.y0 as f64).max(0) as usize)
+            .min(self.edges.left.len() - 1);
+        self.build_columns(self.edges.left[yi], self.edges.right[yi]);
+
+        let (w, h) = (self.scan.width(), self.scan.height());
+        let pixels = self.scan.as_bytes();
+        let t = u64::from(self.threshold);
+        for (white, col) in out.iter_mut().zip(&self.columns) {
+            let y = col.yt + v * col.height;
+            let y0 = (y - self.half_h).max(0.0) as usize;
+            let y1 = (y0 + self.block).min(h);
+            let n = ((col.x1 - col.x0) * y1.saturating_sub(y0)) as u64;
+            let sum: u64 = (y0..y1)
+                .map(|yy| {
+                    let row = &pixels[yy * w + col.x0..yy * w + col.x1];
+                    u64::from(row.iter().map(|&p| u32::from(p)).sum::<u32>())
+                })
+                .sum();
+            // `sum / n >= t` in exact integers: when `sum < t·n` the true
+            // mean sits at least `1/n` below `t`, so the f64 mean does
+            // too. An empty (fully clipped) block has mean 0.
+            *white = if n == 0 { t == 0 } else { sum >= t * n };
+        }
     }
 
-    /// Mean intensity over the central portion of a cell.
-    #[inline]
-    fn sample(&self, cx: usize, cy: usize) -> f64 {
-        let (x, y) = self.cell_center(cx, cy);
-        let half_w = (self.cell_w * 0.3).max(0.5);
-        let half_h = (self.cell_h * 0.3).max(0.5);
-        let x0 = (x - half_w).max(0.0) as usize;
-        let y0 = (y - half_h).max(0.0) as usize;
-        let block = ((half_w.min(half_h) * 2.0).round() as usize).max(1);
-        block_mean(self.scan, x0, y0, block)
+    /// Build the column side for the left/right edge pair `(xl, xr)`,
+    /// unless it is already built for that exact pair.
+    fn build_columns(&mut self, xl: f64, xr: f64) {
+        let pair = (xl.to_bits(), xr.to_bits());
+        if self.columns_for == Some(pair) {
+            return;
+        }
+        self.columns_for = Some(pair);
+        #[cfg(test)]
+        {
+            self.column_refreshes += 1;
+        }
+        let e = &self.edges;
+        let last = e.top.len() as isize - 1;
+        let w = self.scan.width();
+        for (col, &u) in self.columns.iter_mut().zip(&self.u) {
+            let x = xl + u * (xr - xl + 1.0);
+            let xi = round_half_away(x - e.bbox.x0 as f64).clamp(0, last) as usize;
+            let x0 = (x - self.half_w).max(0.0) as usize;
+            let (yt, yb) = (e.top[xi], e.bottom[xi]);
+            *col = Column {
+                x0,
+                x1: (x0 + self.block).min(w).max(x0),
+                yt,
+                height: yb - yt + 1.0,
+            };
+        }
+    }
+}
+
+/// `f.round() as isize` without the libm call: truncate, then compare the
+/// remainder (exact, since `f` and its truncation share their exponent
+/// range) with ±0.5, so halves round away from zero. NaN gives 0 and the
+/// infinities saturate, as the cast does.
+#[inline]
+fn round_half_away(f: f64) -> isize {
+    let t = f as isize;
+    let frac = f - t as f64;
+    if frac >= 0.5 {
+        t.saturating_add(1)
+    } else if frac <= -0.5 {
+        t.saturating_sub(1)
+    } else {
+        t
     }
 }
 
@@ -137,17 +224,18 @@ pub fn decode_emblem(
 ) -> Result<(EmblemHeader, Vec<u8>, DecodeStats), DecodeError> {
     let threshold = scan.otsu_threshold();
     let bit = scan.threshold(threshold);
-    let sampler = GridSampler::new(scan, &bit, geom).ok_or(DecodeError::BorderNotFound)?;
-    let is_white = |v: f64| v >= threshold as f64;
+    let mut sampler =
+        GridSampler::new(scan, &bit, geom, threshold).ok_or(DecodeError::BorderNotFound)?;
     let mut stats = DecodeStats::default();
 
     // Calibration row: verify the large-scale dots.
-    let mut matched = 0usize;
-    for cx in 0..geom.cols {
-        if is_white(sampler.sample(cx, 0)) == calibration_level(cx) {
-            matched += 1;
-        }
-    }
+    let mut calibration = vec![false; geom.cols];
+    sampler.sample_row(0, &mut calibration);
+    let matched = calibration
+        .iter()
+        .enumerate()
+        .filter(|&(cx, &white)| white == calibration_level(cx))
+        .count();
     stats.calibration_match_pm = (matched * 1000 / geom.cols) as u16;
     if stats.calibration_match_pm < 850 {
         return Err(DecodeError::CalibrationMismatch {
@@ -156,14 +244,11 @@ pub fn decode_emblem(
     }
 
     // Header copies.
-    let header_cells_len = HEADER_BYTES * 8 * 2;
+    let mut cells = vec![false; HEADER_BYTES * 8 * 2];
     let mut header: Option<EmblemHeader> = None;
     let mut copies_bits: Vec<Vec<bool>> = Vec::with_capacity(HEADER_COPIES);
     for copy in 0..HEADER_COPIES {
-        let row = 1 + copy;
-        let cells: Vec<bool> = (0..header_cells_len)
-            .map(|cx| is_white(sampler.sample(cx, row)))
-            .collect();
+        sampler.sample_row(1 + copy, &mut cells);
         let dec = decode_cells(&cells, true);
         let bytes = bits_to_bytes(&dec.bits);
         if let Ok(h) = EmblemHeader::from_bytes(&bytes) {
@@ -194,11 +279,9 @@ pub fn decode_emblem(
 
     // Data region: one continuous self-clocked run.
     let data_rows = geom.rows - OVERHEAD_ROWS;
-    let mut cells = Vec::with_capacity(data_rows * geom.cols);
-    for cy in 0..data_rows {
-        for cx in 0..geom.cols {
-            cells.push(is_white(sampler.sample(cx, cy + OVERHEAD_ROWS)));
-        }
+    let mut cells = vec![false; data_rows * geom.cols];
+    for (cy, row) in cells.chunks_mut(geom.cols).enumerate() {
+        sampler.sample_row(cy + OVERHEAD_ROWS, row);
     }
     let dec = decode_cells(&cells, true);
     stats.sync_errors = dec.sync_errors.len();
@@ -263,6 +346,7 @@ mod tests {
     use super::*;
     use crate::encode::encode_emblem;
     use crate::header::EmblemKind;
+    use ule_fault::{Blotch, BurstScratch, ContrastFade, FaultPlan, Orientation, SaltPepper};
     use ule_raster::{DegradeParams, Scanner};
 
     fn geom() -> EmblemGeometry {
@@ -277,6 +361,173 @@ mod tests {
 
     fn hdr(len: usize) -> EmblemHeader {
         EmblemHeader::new(EmblemKind::Data, 3, 1, len as u32, len as u32)
+    }
+
+    /// The per-cell sampler `GridSampler` replaced, kept as its oracle:
+    /// the cell centre with libm rounding, the clipped f64 block mean, and
+    /// `>= threshold as f64`.
+    fn reference_is_white(s: &GridSampler, g: &EmblemGeometry, cx: usize, cy: usize) -> bool {
+        let e = &s.edges;
+        let (total_cols, total_rows) = (g.cols + 2 * EDGE_CELLS, g.rows + 2 * EDGE_CELLS);
+        let u = (EDGE_CELLS as f64 + cx as f64 + 0.5) / total_cols as f64;
+        let v = (EDGE_CELLS as f64 + cy as f64 + 0.5) / total_rows as f64;
+        let y_rough = e.bbox.y0 as f64 + v * (e.bbox.height() as f64 - 1.0);
+        let yi = ((y_rough - e.bbox.y0 as f64).round() as usize).min(e.left.len() - 1);
+        let (xl, xr) = (e.left[yi], e.right[yi]);
+        let x = xl + u * (xr - xl + 1.0);
+        let xi =
+            ((x - e.bbox.x0 as f64).round() as isize).clamp(0, e.top.len() as isize - 1) as usize;
+        let (yt, yb) = (e.top[xi], e.bottom[xi]);
+        let y = yt + v * (yb - yt + 1.0);
+
+        let cell_w = e.bbox.width() as f64 / total_cols as f64;
+        let cell_h = e.bbox.height() as f64 / total_rows as f64;
+        let half_w = (cell_w * 0.3).max(0.5);
+        let half_h = (cell_h * 0.3).max(0.5);
+        let x0 = (x - half_w).max(0.0) as usize;
+        let y0 = (y - half_h).max(0.0) as usize;
+        let block = ((half_w.min(half_h) * 2.0).round() as usize).max(1);
+
+        let x1 = (x0 + block).min(s.scan.width());
+        let y1 = (y0 + block).min(s.scan.height());
+        let mean = if x0 >= x1 || y0 >= y1 {
+            0.0
+        } else {
+            let mut sum = 0u64;
+            for yy in y0..y1 {
+                for xx in x0..x1 {
+                    sum += s.scan.get(xx, yy) as u64;
+                }
+            }
+            sum as f64 / ((x1 - x0) * (y1 - y0)) as f64
+        };
+        mean >= s.threshold as f64
+    }
+
+    #[test]
+    fn grid_sampler_matches_the_per_cell_oracle() {
+        let g = geom();
+        let data = payload(g.payload_capacity());
+        let img = encode_emblem(&g, &hdr(data.len()), &data);
+        let scan = |params: DegradeParams, seed: u64| Scanner::new(params, seed).scan(&img);
+        let noisy = DegradeParams {
+            noise_sigma: 10.0,
+            ..Default::default()
+        };
+        let scaled = |scan_scale: f64| DegradeParams {
+            scan_scale,
+            ..noisy.clone()
+        };
+        let faulted = |plan: FaultPlan, severity: f64, seed: u64| {
+            plan.apply(&[scan(noisy.clone(), seed)], severity, seed)
+                .remove(0)
+        };
+        let scratch_v = BurstScratch {
+            orientation: Orientation::Vertical,
+        };
+        let cases: Vec<(&str, GrayImage)> = vec![
+            ("pristine", img.clone()),
+            (
+                "noise + row jitter",
+                scan(
+                    DegradeParams {
+                        noise_sigma: 30.0,
+                        row_jitter: 0.6,
+                        ..Default::default()
+                    },
+                    42,
+                ),
+            ),
+            (
+                "fade + lens",
+                scan(
+                    DegradeParams {
+                        fade_amplitude: 25.0,
+                        lens_k: 0.02,
+                        ..noisy.clone()
+                    },
+                    43,
+                ),
+            ),
+            ("scale 1.28", scan(scaled(1.28), 44)),
+            ("scale 1.5", scan(scaled(1.5), 45)),
+            ("scale 2.0", scan(scaled(2.0), 46)),
+            (
+                "dust",
+                scan(
+                    DegradeParams {
+                        dust_per_mpx: 40.0,
+                        dust_max_radius: 2.0,
+                        ..noisy.clone()
+                    },
+                    9,
+                ),
+            ),
+            (
+                "salt-pepper",
+                faulted(FaultPlan::single(SaltPepper), 0.04, 47),
+            ),
+            ("blotch", faulted(FaultPlan::single(Blotch), 0.03, 48)),
+            ("scratch-v", faulted(FaultPlan::single(scratch_v), 0.03, 49)),
+            (
+                "contrast-fade",
+                faulted(FaultPlan::single(ContrastFade), 0.7, 50),
+            ),
+        ];
+        let (mut reused, mut recomputed) = (0, 0);
+        for (name, scan) in &cases {
+            let threshold = scan.otsu_threshold();
+            let bit = scan.threshold(threshold);
+            let mut sampler = GridSampler::new(scan, &bit, &g, threshold)
+                .unwrap_or_else(|| panic!("{name}: border not found"));
+            let mut row = vec![false; g.cols];
+            for cy in 0..g.rows {
+                sampler.sample_row(cy, &mut row);
+                for (cx, &white) in row.iter().enumerate() {
+                    assert_eq!(
+                        white,
+                        reference_is_white(&sampler, &g, cx, cy),
+                        "{name}: cell ({cx}, {cy})"
+                    );
+                }
+            }
+            // The first row always builds the column side.
+            reused += g.rows - sampler.column_refreshes;
+            recomputed += sampler.column_refreshes - 1;
+        }
+        assert!(reused > 0, "no row reused the column side");
+        assert!(recomputed > 0, "no row rebuilt the column side");
+    }
+
+    #[test]
+    fn round_half_away_matches_libm_round() {
+        let mut values = vec![
+            0.0,
+            -0.0,
+            0.49999999999999994,
+            -0.49999999999999994,
+            4503599627370495.5,
+            -4503599627370495.5,
+            9007199254740993.0,
+            1e300,
+            -1e300,
+            f64::MIN_POSITIVE,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        for k in -4000..4000 {
+            let half = k as f64 / 8.0;
+            values.push(half);
+            // The neighbours of every eighth, halves included.
+            if half != 0.0 {
+                values.push(f64::from_bits(half.to_bits() - 1));
+                values.push(f64::from_bits(half.to_bits() + 1));
+            }
+        }
+        for f in values {
+            assert_eq!(round_half_away(f), f.round() as isize, "{f:e}");
+        }
     }
 
     #[test]

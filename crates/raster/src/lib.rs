@@ -10,7 +10,7 @@
 //! * [`draw`] — the rectangle/grid primitives the emblem renderer uses;
 //! * [`sample`] — the bilinear sampler the scanner's geometry pass reads
 //!   through (2K film frames are scanned at 4K in the paper's cinema
-//!   experiment) and block means;
+//!   experiment);
 //! * [`scan`] — the physical degradation model of §3.1: fading, hot spots,
 //!   scratches, dust, lens curvature and transport jitter, all seeded and
 //!   deterministic;

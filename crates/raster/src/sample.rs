@@ -1,4 +1,4 @@
-//! Sub-pixel sampling and block averaging.
+//! Sub-pixel sampling.
 
 use crate::image::GrayImage;
 
@@ -40,22 +40,6 @@ pub fn bilinear(img: &GrayImage, x: f64, y: f64) -> f64 {
     p00 * (1.0 - fx) * (1.0 - fy) + p10 * fx * (1.0 - fy) + p01 * (1.0 - fx) * fy + p11 * fx * fy
 }
 
-/// Average the `block × block` cell with top-left `(x, y)` (clipped).
-pub fn block_mean(img: &GrayImage, x: usize, y: usize, block: usize) -> f64 {
-    let x1 = (x + block).min(img.width());
-    let y1 = (y + block).min(img.height());
-    if x >= x1 || y >= y1 {
-        return 0.0;
-    }
-    let mut sum = 0u64;
-    for yy in y..y1 {
-        for xx in x..x1 {
-            sum += img.get(xx, yy) as u64;
-        }
-    }
-    sum as f64 / ((x1 - x) * (y1 - y)) as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -83,11 +67,5 @@ mod tests {
         assert_eq!(bilinear(&img, 7.5, 1.0), 150.0);
         assert_eq!(bilinear(&img, -4.0, -1.5), 0.0);
         assert!((bilinear(&img, 0.5, 5.0) - 125.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn block_mean_of_uniform_block() {
-        let img = GrayImage::new(8, 8, 42);
-        assert!((block_mean(&img, 2, 2, 4) - 42.0).abs() < 1e-9);
     }
 }

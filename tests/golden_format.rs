@@ -11,7 +11,9 @@
 //! * emblem image and frame dimensions, per `Medium` preset;
 //! * the data/parity emblem counts of the stream plan;
 //! * CRC-32s of fault-injected scans under each medium's canonical
-//!   `FaultPlan` (seeded damage is replayable, so E9 campaigns are too).
+//!   `FaultPlan` (seeded damage is replayable, so E9 campaigns are too);
+//! * one CRC-32 over the native decoder's results on `test_tiny` fault
+//!   rungs, so its cell decisions are pinned too.
 //!
 //! If a change is *meant* to alter the format (a new header version, say),
 //! regenerate with `ULE_REGEN_GOLDEN=1 cargo test --test golden_format`
@@ -361,4 +363,67 @@ fn scanner_output_is_frozen() {
         "upscale_2x 482x374 359dff6c",
     ];
     assert_eq!(actual, golden);
+}
+
+/// The native decoder's cell decisions are frozen too: the golden sweep
+/// above pins only what lands on the medium, so a resampler that read a
+/// different pixel block or rounded a cell centre differently could pass
+/// it. This decodes one `test_tiny` frame, pristine and under four fault
+/// rungs (the last past the decoder's budget), and pins one CRC-32 over
+/// every outcome: header bytes ‖ payload ‖ `DecodeStats`, or the error.
+#[test]
+fn decoder_output_is_frozen() {
+    use ule::emblem::{decode_emblem, encode_emblem, EmblemHeader};
+    use ule::fault::{Blotch, BurstScratch, ContrastFade, FaultPlan, Orientation, SaltPepper};
+
+    let medium = Medium::test_tiny();
+    let geom = medium.geometry;
+    let payload: Vec<u8> = (0..geom.payload_capacity())
+        .map(|i| (i as u8).wrapping_mul(73).wrapping_add(29))
+        .collect();
+    let header = EmblemHeader::new(
+        EmblemKind::Data,
+        5,
+        2,
+        payload.len() as u32,
+        payload.len() as u32,
+    );
+    let frame = medium.print(&encode_emblem(&geom, &header, &payload));
+    let scan = medium.scan(&frame, 0xDEC0);
+    let scratch_v = BurstScratch {
+        orientation: Orientation::Vertical,
+    };
+    let rungs: [(&str, FaultPlan, f64); 5] = [
+        ("pristine", FaultPlan::new(), 0.0),
+        ("salt-pepper", FaultPlan::single(SaltPepper), 0.02),
+        ("blotch", FaultPlan::single(Blotch), 0.01),
+        ("fade", FaultPlan::single(ContrastFade), 0.6),
+        ("scratch-v", FaultPlan::single(scratch_v), 0.12),
+    ];
+    let mut bytes = Vec::new();
+    let mut outcomes = Vec::new();
+    for (i, (name, plan, severity)) in rungs.iter().enumerate() {
+        let damaged = plan.apply(std::slice::from_ref(&scan), *severity, 0xD0 + i as u64);
+        match decode_emblem(&geom, &damaged[0]) {
+            Ok((h, p, s)) => {
+                bytes.extend_from_slice(&h.to_bytes());
+                bytes.extend_from_slice(&p);
+                for v in [s.rs_corrected, s.header_copy_used, s.sync_errors] {
+                    bytes.extend_from_slice(&(v as u64).to_le_bytes());
+                }
+                bytes.extend_from_slice(&s.calibration_match_pm.to_le_bytes());
+                outcomes.push(format!("{name} ok {s:?}"));
+            }
+            Err(e) => {
+                bytes.extend_from_slice(format!("{e:?}").as_bytes());
+                outcomes.push(format!("{name} {e:?}"));
+            }
+        }
+    }
+    assert!(
+        outcomes[..4].iter().all(|o| o.contains(" ok")),
+        "{outcomes:?}"
+    );
+    assert!(!outcomes[4].contains(" ok"), "{outcomes:?}");
+    assert_eq!(format!("{:08x}", crc32(&bytes)), "f9355d50", "{outcomes:?}");
 }
