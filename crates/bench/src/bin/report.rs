@@ -1546,7 +1546,7 @@ fn e12_emulated_restore(run: &mut Run) {
     let Run { checks, rec, .. } = run;
     use micr_olonys::{EmulationTier, MicrOlonys};
     println!(
-        "\n[E12] Parallel emulated restore — threaded-code DynaRisc dispatch (DESIGN.md §9) \
+        "\n[E12] Parallel emulated restore — pre-decoded DynaRisc engine (DESIGN.md §9) \
          vs native, tiny medium"
     );
     // Same workload as `tests/parallel_identity.rs`'s emulated matrix:
@@ -1643,7 +1643,8 @@ fn e12_emulated_restore(run: &mut Run) {
     );
     // The throughput claim: a fully emulated restore within one order of
     // the native decoder. Gated unconditionally — the threaded engine's
-    // measured overhead (~1.3x) leaves room for runner noise.
+    // measured overhead (~1.5x, EXPERIMENTS.md E12) leaves room for
+    // runner noise.
     checks.check(
         "e12_overhead",
         vsn(t_ser) <= 8.0,

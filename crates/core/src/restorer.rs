@@ -152,8 +152,8 @@ pub struct RestoreStats {
 /// Every tier executes the same archived MODecode/DBDecode instruction
 /// streams; they differ only in who runs DynaRisc:
 ///
-/// * [`Threaded`](EmulationTier::Threaded) — the pre-compiled
-///   direct-dispatch engine (`ule_dynarisc::threaded`). The production
+/// * [`Threaded`](EmulationTier::Threaded) — the pre-decoded one-loop
+///   engine (`ule_dynarisc::threaded`). The production
 ///   tier: fastest, and the one E12 holds to a small constant factor of
 ///   the native decoder.
 /// * [`Interpreter`](EmulationTier::Interpreter) — the reference
@@ -407,7 +407,7 @@ impl MicrOlonys {
         // data archive. Scans arrive in any order, possibly duplicated,
         // possibly with frames missing; `assemble_stream` sorts this out
         // and names any absent frame by its global emblem index.
-        let chunk_cap = boot.nblocks * RS_K;
+        let chunk_cap = boot.nblocks.saturating_mul(RS_K);
         let sys_bytes =
             assemble_stream(&decoded, EmblemKind::System, chunk_cap, boot.outer_parity)?;
         let dbdecode_words: Vec<u16> = sys_bytes
@@ -477,7 +477,7 @@ fn tier_label(tier: EmulationTier) -> &'static str {
 enum GuestRunner {
     /// Reference interpreter — re-decodes every step.
     Interpreter(Vec<u16>),
-    /// Pre-compiled threaded code — one handler pointer per word.
+    /// Pre-decoded slots run by one dispatch loop.
     Threaded(ThreadedImage),
 }
 
@@ -767,29 +767,49 @@ mod tests {
     }
 }
 
+/// The MODecode parameter block for one scan. Every field is a 16-bit
+/// guest word, and so is MODecode's coded-byte total (`nblocks × 255`):
+/// a Bootstrap or scan whose geometry does not fit is `Corrupt`, never
+/// silently wrapped.
+fn modecode_params(boot: &Bootstrap, scan: &GrayImage) -> Result<ModecodeParams, RestoreError> {
+    let word = |name: &str, v: usize| {
+        u16::try_from(v).map_err(|_| {
+            RestoreError::Archive(ArchiveError::Corrupt(format!(
+                "geometry {name}={v} does not fit MODecode's 16-bit parameter block"
+            )))
+        })
+    };
+    let params = ModecodeParams {
+        width: word("scan width", scan.width())?,
+        height: word("scan height", scan.height())?,
+        cols: word("cols", boot.cols)?,
+        rows: word("rows", boot.rows)?,
+        cell_px: word("cell_px", boot.cell_px)?,
+        origin_px: word("origin", boot.origin_px)?,
+        nblocks: word("nblocks", boot.nblocks)?,
+        xoff: word("xoff", boot.xoff)?,
+        yoff: word("yoff", boot.yoff)?,
+    };
+    word("nblocks × 255", params.nblocks as usize * 255)?;
+    Ok(params)
+}
+
 /// Host-side preprocessing sanctioned by the Bootstrap — pixel array
 /// (threshold 128) plus the MODecode parameter block and its laid-out
-/// guest memory.
-fn modecode_memory(boot: &Bootstrap, scan: &GrayImage) -> (Vec<u8>, u32, ModecodeParams) {
+/// guest memory. The geometry is checked before anything is allocated.
+fn modecode_memory(
+    boot: &Bootstrap,
+    scan: &GrayImage,
+) -> Result<(Vec<u8>, u32, ModecodeParams), RestoreError> {
+    let params = modecode_params(boot, scan)?;
     let pixels: Vec<u8> = scan
         .as_bytes()
         .iter()
         .map(|&p| if p < 128 { 0u8 } else { 255 })
         .collect();
-    let params = ModecodeParams {
-        width: scan.width() as u16,
-        height: scan.height() as u16,
-        cols: boot.cols as u16,
-        rows: boot.rows as u16,
-        cell_px: boot.cell_px as u16,
-        origin_px: boot.origin_px as u16,
-        nblocks: boot.nblocks as u16,
-        xoff: boot.xoff as u16,
-        yoff: boot.yoff as u16,
-    };
-    let max_out = 16 + 2 * boot.nblocks * 255 + 64;
+    let max_out = 16 + 2 * params.nblocks as usize * 255 + 64;
     let (guest_mem, out_base) = layout::build_memory(&pixels, max_out, &params.to_words());
-    (guest_mem, out_base, params)
+    Ok((guest_mem, out_base, params))
 }
 
 /// Run MODecode inside the nested VeRisc emulator for one scan. Returns
@@ -799,12 +819,12 @@ fn run_modecode_nested(
     scan: &GrayImage,
     engine: EngineKind,
 ) -> Result<(Vec<u8>, u64), RestoreError> {
-    let (guest_mem, out_base, _) = modecode_memory(boot, scan);
+    let (guest_mem, out_base, params) = modecode_memory(boot, scan)?;
     let mut emu =
         NestedEmulator::from_image_prefix(&boot.image_prefix, boot.symbols.clone(), &guest_mem);
     emu.reset_guest();
-    let cells = boot.cols as u64 * boot.rows as u64;
-    let budget = 2_000_000u64.saturating_add(cells * 60_000);
+    let cells = params.cols as u64 * params.rows as u64;
+    let budget = 2_000_000u64.saturating_add(cells.saturating_mul(60_000));
     let steps = emu.run(engine, budget)?;
     let guest = emu.dyn_mem();
     let status = u16::from_le_bytes([guest[0], guest[1]]);
@@ -821,7 +841,7 @@ fn run_modecode_hosted(
     scan: &GrayImage,
     runner: &GuestRunner,
 ) -> Result<(Vec<u8>, u64), RestoreError> {
-    let (guest_mem, out_base, params) = modecode_memory(boot, scan);
+    let (guest_mem, out_base, params) = modecode_memory(boot, scan)?;
     let (mem, steps) = runner.run(guest_mem, modecode::step_budget(&params))?;
     let status = u16::from_le_bytes([mem[0], mem[1]]);
     if status != 0 {

@@ -2,7 +2,8 @@
 //! using *only* the Bootstrap document and the scans — every decoder runs
 //! inside the nested VeRisc → DynaRisc emulator.
 
-use micr_olonys::{EmulationTier, MicrOlonys, ThreadConfig};
+use micr_olonys::{EmulationTier, MicrOlonys, RestoreError, ThreadConfig};
+use ule_compress::ArchiveError;
 use ule_media::Medium;
 use ule_verisc::vm::EngineKind;
 
@@ -180,4 +181,47 @@ fn system_emblems_carry_the_decoder() {
     let out = sys.archive(b"tiny");
     let scans = sys.medium.scan_all(&out.system_frames, 3);
     assert!(sys.verify_system_emblems(&scans).unwrap());
+}
+
+/// Replace `key=value` on the Bootstrap's `geometry:` line.
+fn edit_geometry(text: &str, key: &str, value: &str) -> String {
+    let line = text
+        .lines()
+        .find(|l| l.starts_with("geometry:"))
+        .expect("geometry line");
+    let field = line
+        .split_whitespace()
+        .find(|f| f.starts_with(&format!("{key}=")))
+        .expect("geometry field");
+    text.replacen(line, &line.replacen(field, &format!("{key}={value}"), 1), 1)
+}
+
+#[test]
+fn hostile_bootstrap_geometry_is_corrupt_not_an_abort() {
+    // MODecode's parameter block and its coded-byte total are 16-bit guest
+    // words: a geometry that does not fit must be refused before any
+    // guest memory is sized from it — not wrap, fault or abort.
+    let sys = micro_system();
+    let dump = sample_dump();
+    let out = sys.archive(&dump);
+    let text = out.bootstrap.to_text();
+    let mut scans = out.system_frames.clone();
+    scans.extend(out.data_frames.iter().cloned());
+
+    for tier in [EmulationTier::Threaded, EmulationTier::Interpreter] {
+        let (restored, _) = MicrOlonys::restore_emulated(&text, &scans, tier, ThreadConfig::Serial)
+            .expect("unedited document restores");
+        assert_eq!(restored, dump, "{tier:?}");
+        for (key, value) in [
+            ("nblocks", "1000000000000"),
+            ("cell_px", "65539"),
+            ("cols", "65537"),
+        ] {
+            let hostile = edit_geometry(&text, key, value);
+            match MicrOlonys::restore_emulated(&hostile, &scans, tier, ThreadConfig::Serial) {
+                Err(RestoreError::Archive(ArchiveError::Corrupt(_))) => {}
+                other => panic!("{tier:?} {key}={value}: expected Corrupt, got {other:?}"),
+            }
+        }
+    }
 }

@@ -12,9 +12,10 @@
 //!   internal call stack, and byte-addressed data memory; it is the
 //!   *reference* engine — the single `match` in `Vm::step` is the spec;
 //! * [`threaded`] — the production engine: the same ISA pre-decoded into
-//!   direct-dispatch threaded code (one handler pointer per word
-//!   position), proven bit-identical to [`vm`] by conformance fixtures
-//!   and a differential fuzz target;
+//!   one slot per word position and run by a single dispatch loop with
+//!   the machine state in locals (the name is kept from its
+//!   function-pointer past), proven bit-identical to [`vm`] by
+//!   conformance fixtures and a differential fuzz target;
 //! * [`asm`] — a label-resolving programmatic assembler plus a
 //!   disassembler (the instruction-listing side of Table 1);
 //! * [`text_asm`] — a textual assembler accepting the disassembler's

@@ -1,21 +1,32 @@
-//! The threaded-code DynaRisc engine: pre-decode once, dispatch through
-//! function pointers, no per-step `match`.
+//! The pre-decoded DynaRisc engine: decode once, then run one loop over the
+//! decoded slots with the machine state held in locals.
 //!
 //! [`crate::vm::Vm`] re-decodes the instruction word at every step — the
 //! honest mechanisation of the archived walkthrough, and the *reference
 //! semantics*. This module trades that transparency for throughput the way
 //! processor-based emulators do: a compile pass walks the program image
-//! once and lowers **every word index** into a `Slot` — a decoded-operand
-//! struct carrying a handler function pointer — and the dispatch loop is
-//! just `(slot.exec)(vm, slot)`. Compiling at every word index (not just
-//! instruction starts) matters because DynaRisc jump targets are arbitrary
-//! word positions: a branch may land in the middle of an immediate, and the
-//! interpreter would happily re-decode from there. The threaded engine must
-//! agree bit-for-bit, so it pre-decodes those overlapping readings too.
+//! once and lowers **every word index** into a `Slot` — a small `Copy`
+//! struct of one form tag plus flattened operands — and [`ThreadedVm::run`]
+//! is a single `loop { match slot.tag { … } }` over them. Compiling at
+//! every word index (not just instruction starts) matters because DynaRisc
+//! jump targets are arbitrary word positions: a branch may land in the
+//! middle of an immediate, and the interpreter would happily re-decode from
+//! there. This engine must agree bit-for-bit, so it pre-decodes those
+//! overlapping readings too.
 //!
-//! Parity contract (enforced by `tests/conformance.rs` fixtures and the
-//! `dynarisc_diff` fuzz target): for any program image, data memory image
-//! and fuel budget, [`ThreadedVm`] and [`crate::vm::Vm`] produce identical
+//! The loop is what makes it fast. `run` copies `pc`, the step count, the
+//! registers, the pointers and the flags into locals on entry and writes
+//! them back on every exit, so the hot state lives in machine registers and
+//! the stack frame rather than behind `&mut self`. Each step is one
+//! bounds-checked slot load, one jump-table dispatch on the tag and one
+//! fuel compare; no per-step call, no `Result` returned through memory, no
+//! re-check of `halted`. The engine began as function-pointer threaded
+//! code; the `Threaded*` names are kept for API stability.
+//!
+//! Parity contract (enforced by `tests/conformance.rs` fixtures, the
+//! `dynarisc-diff` fuzz target and this module's tests): for any program
+//! image, data memory image and fuel budget — including a run resumed in
+//! chunks — [`ThreadedVm`] and [`crate::vm::Vm`] produce identical
 //! [`MachineState`]s and identical `run` results — including fault
 //! variants, fault ordering (partial `STM` word stores), and the rule that
 //! `PcFault`/`Decode` do **not** count a step while `MemFault`/
@@ -25,23 +36,77 @@ use crate::isa::{DecodeErr, Instr, Mode, Opcode};
 use crate::vm::{Flags, MachineState, VmError, CALL_STACK_DEPTH};
 use std::sync::Arc;
 
-/// Handler signature: executes one pre-decoded slot. The slot is passed by
-/// value (it is `Copy`) so handlers never re-borrow the code array.
-type Handler = fn(&mut ThreadedVm, Slot) -> Result<(), VmError>;
+/// The form of a pre-decoded slot: one variant per `(opcode, mode)` family
+/// with its own semantics, plus the two lazy decode-fault forms.
+#[derive(Clone, Copy)]
+enum Tag {
+    AddReg,
+    AddImm,
+    AdcReg,
+    AdcImm,
+    AddPtrReg,
+    AddPtrImm,
+    SubPtrReg,
+    SubPtrImm,
+    SubReg,
+    SubImm,
+    SbbReg,
+    SbbImm,
+    CmpReg,
+    CmpImm,
+    MulLo,
+    MulHi,
+    AndReg,
+    AndImm,
+    OrReg,
+    OrImm,
+    XorReg,
+    XorImm,
+    LslImm,
+    LslReg,
+    LsrImm,
+    LsrReg,
+    AsrImm,
+    AsrReg,
+    RorImm,
+    RorReg,
+    MoveRR,
+    MoveDR,
+    MoveRDlo,
+    MoveDD,
+    MoveRDhi,
+    MoveDPair,
+    LdiR,
+    LdiD,
+    LdmByte,
+    LdmByteInc,
+    LdmWord,
+    LdmWordInc,
+    StmByte,
+    StmByteInc,
+    StmWord,
+    StmWordInc,
+    Jump,
+    Jz,
+    Jnz,
+    Jc,
+    Call,
+    Ret,
+    /// Undecodable opcode bits; `imm32` holds them.
+    BadOpcode,
+    /// An instruction whose immediate runs past the end of the image.
+    Truncated,
+}
 
-/// One pre-decoded word position: handler + flattened operands.
+/// One pre-decoded word position: form tag + flattened operands.
 #[derive(Clone, Copy)]
 struct Slot {
-    exec: Handler,
-    /// `a` register field (full 4 bits).
+    tag: Tag,
+    /// `a` register field (full 4 bits; `a & 7` for `D`-destination forms).
     a: u8,
-    /// `b` register field (full 4 bits) — also the shift count for the
-    /// immediate-count shift forms.
+    /// `b` register field (full 4 bits; `b & 7` for `D`-source forms) —
+    /// also the shift count for the immediate-count shift forms.
     b: u8,
-    /// `a & 7`: pointer-register index for `D`-destination forms.
-    da: u8,
-    /// `b & 7`: pointer-register index for `D`-source forms.
-    db: u8,
     /// First immediate / jump target word.
     imm: u16,
     /// `(imm2 << 16) | imm` — the 32-bit `LDI Dd` immediate. Doubles as
@@ -51,8 +116,8 @@ struct Slot {
     next_pc: u32,
 }
 
-/// A program image compiled to threaded code, shareable across VM
-/// instances (and threads — slots are plain data plus `fn` pointers).
+/// A program image compiled to pre-decoded slots, shareable across VM
+/// instances (and threads — slots are plain data).
 ///
 /// Compile once, then [`instantiate`](ThreadedImage::instantiate) one VM
 /// per independent input; this is what the per-frame parallel emulated
@@ -63,9 +128,9 @@ pub struct ThreadedImage {
 }
 
 impl ThreadedImage {
-    /// Lower a program image into threaded code. Never fails: undecodable
-    /// word positions compile to fault slots that reproduce the
-    /// interpreter's lazy `Decode` error if (and only if) reached.
+    /// Lower a program image into slots. Never fails: undecodable word
+    /// positions compile to fault slots that reproduce the interpreter's
+    /// lazy `Decode` error if (and only if) reached.
     pub fn compile(program: &[u16]) -> Self {
         let code: Vec<Slot> = (0..program.len())
             .map(|pos| compile_slot(program, pos))
@@ -94,8 +159,8 @@ impl ThreadedImage {
     }
 }
 
-/// A DynaRisc machine running threaded code. Same architectural state as
-/// [`crate::vm::Vm`]; only the dispatch differs.
+/// A DynaRisc machine running pre-decoded slots. Same architectural state
+/// as [`crate::vm::Vm`]; only the dispatch differs.
 pub struct ThreadedVm {
     pub regs: [u16; 16],
     pub ptrs: [u32; 8],
@@ -143,73 +208,291 @@ impl ThreadedVm {
 
     /// Run until halt or `max_steps`. Returns executed step count.
     /// Byte-identical contract to [`crate::vm::Vm::run`].
+    ///
+    /// Each step follows the reference order: fuel (`StepLimit`), `pc`
+    /// bound (`PcFault`), lazy decode faults (`Decode`, no step counted),
+    /// then count the step and execute. A faulting instruction leaves `pc`
+    /// on itself.
     pub fn run(&mut self, max_steps: u64) -> Result<u64, VmError> {
-        let start = self.steps;
-        while !self.halted {
-            if self.steps - start >= max_steps {
-                return Err(VmError::StepLimit {
-                    steps: self.steps - start,
-                });
-            }
-            self.step()?;
-        }
-        Ok(self.steps - start)
-    }
-
-    /// Execute one instruction.
-    pub fn step(&mut self) -> Result<(), VmError> {
         if self.halted {
-            return Ok(());
+            return Ok(0);
         }
-        if self.pc >= self.code.len() {
-            return Err(VmError::PcFault { pc: self.pc });
+        let code = &*self.code;
+        let mem = &mut self.mem[..];
+        let call_stack = &mut self.call_stack;
+        let mut regs = self.regs;
+        let mut ptrs = self.ptrs;
+        let mut flags = self.flags;
+        let mut pc = self.pc;
+        let mut n = 0u64;
+
+        // Leave the loop with a memory fault, `pc` still on the instruction.
+        macro_rules! or_fault {
+            ($e:expr) => {
+                match $e {
+                    Ok(v) => v,
+                    Err(e) => break Err(e),
+                }
+            };
         }
-        let slot = self.code[self.pc];
-        (slot.exec)(self, slot)
-    }
 
-    #[inline(always)]
-    fn set_zn(&mut self, v: u16) {
-        self.flags.z = v == 0;
-        self.flags.n = v & 0x8000 != 0;
-    }
-
-    #[inline(always)]
-    fn load_byte(&self, addr: u32) -> Result<u8, VmError> {
-        self.mem
-            .get(addr as usize)
-            .copied()
-            .ok_or(VmError::MemFault { addr, len: 1 })
-    }
-
-    #[inline(always)]
-    fn load_word(&self, addr: u32) -> Result<u16, VmError> {
-        let lo = self.load_byte(addr)?;
-        let hi = self.load_byte(addr.wrapping_add(1))?;
-        Ok(u16::from_le_bytes([lo, hi]))
-    }
-
-    #[inline(always)]
-    fn store_byte(&mut self, addr: u32, v: u8) -> Result<(), VmError> {
-        match self.mem.get_mut(addr as usize) {
-            Some(slot) => {
-                *slot = v;
-                Ok(())
+        let result = loop {
+            if n >= max_steps {
+                break Err(VmError::StepLimit { steps: n });
             }
-            None => Err(VmError::MemFault { addr, len: 1 }),
+            let Some(&s) = code.get(pc) else {
+                break Err(VmError::PcFault { pc });
+            };
+            let a = (s.a & 15) as usize;
+            let b = (s.b & 15) as usize;
+            let da = (s.a & 7) as usize;
+            let db = (s.b & 7) as usize;
+            n += 1;
+            match s.tag {
+                Tag::BadOpcode => {
+                    n -= 1; // the interpreter never got past decode
+                    let err = DecodeErr::BadOpcode(s.imm32 as u8);
+                    break Err(VmError::Decode { pc, err });
+                }
+                Tag::Truncated => {
+                    n -= 1;
+                    let err = DecodeErr::Truncated;
+                    break Err(VmError::Decode { pc, err });
+                }
+                // ADD/ADC pointer forms ignore carry-in (matching the
+                // reference `match`, whose M1/M3 arms never read it).
+                Tag::AddReg => regs[a] = add(&mut flags, regs[a], regs[b], false),
+                Tag::AddImm => regs[a] = add(&mut flags, regs[a], s.imm, false),
+                Tag::AdcReg => regs[a] = add(&mut flags, regs[a], regs[b], true),
+                Tag::AdcImm => regs[a] = add(&mut flags, regs[a], s.imm, true),
+                Tag::AddPtrReg => ptrs[da] = ptrs[da].wrapping_add(regs[b] as u32),
+                Tag::AddPtrImm => ptrs[da] = ptrs[da].wrapping_add(s.imm as u32),
+                Tag::SubPtrReg => ptrs[da] = ptrs[da].wrapping_sub(regs[b] as u32),
+                Tag::SubPtrImm => ptrs[da] = ptrs[da].wrapping_sub(s.imm as u32),
+                Tag::SubReg => regs[a] = sub(&mut flags, regs[a], regs[b], false),
+                Tag::SubImm => regs[a] = sub(&mut flags, regs[a], s.imm, false),
+                Tag::SbbReg => regs[a] = sub(&mut flags, regs[a], regs[b], true),
+                Tag::SbbImm => regs[a] = sub(&mut flags, regs[a], s.imm, true),
+                Tag::CmpReg => {
+                    sub(&mut flags, regs[a], regs[b], false);
+                }
+                Tag::CmpImm => {
+                    sub(&mut flags, regs[a], s.imm, false);
+                }
+                Tag::MulLo => {
+                    regs[a] = with_zn(&mut flags, (regs[a] as u32 * regs[b] as u32) as u16)
+                }
+                Tag::MulHi => {
+                    regs[a] = with_zn(&mut flags, ((regs[a] as u32 * regs[b] as u32) >> 16) as u16);
+                }
+                Tag::AndReg => regs[a] = with_zn(&mut flags, regs[a] & regs[b]),
+                Tag::AndImm => regs[a] = with_zn(&mut flags, regs[a] & s.imm),
+                Tag::OrReg => regs[a] = with_zn(&mut flags, regs[a] | regs[b]),
+                Tag::OrImm => regs[a] = with_zn(&mut flags, regs[a] | s.imm),
+                Tag::XorReg => regs[a] = with_zn(&mut flags, regs[a] ^ regs[b]),
+                Tag::XorImm => regs[a] = with_zn(&mut flags, regs[a] ^ s.imm),
+                Tag::LslImm => regs[a] = shift(&mut flags, regs[a], s.b as u32, Opcode::Lsl),
+                Tag::LslReg => {
+                    regs[a] = shift(&mut flags, regs[a], (regs[b] & 15) as u32, Opcode::Lsl)
+                }
+                Tag::LsrImm => regs[a] = shift(&mut flags, regs[a], s.b as u32, Opcode::Lsr),
+                Tag::LsrReg => {
+                    regs[a] = shift(&mut flags, regs[a], (regs[b] & 15) as u32, Opcode::Lsr)
+                }
+                Tag::AsrImm => regs[a] = shift(&mut flags, regs[a], s.b as u32, Opcode::Asr),
+                Tag::AsrReg => {
+                    regs[a] = shift(&mut flags, regs[a], (regs[b] & 15) as u32, Opcode::Asr)
+                }
+                Tag::RorImm => regs[a] = shift(&mut flags, regs[a], s.b as u32, Opcode::Ror),
+                Tag::RorReg => {
+                    regs[a] = shift(&mut flags, regs[a], (regs[b] & 15) as u32, Opcode::Ror)
+                }
+                Tag::MoveRR => regs[a] = regs[b],
+                Tag::MoveDR => ptrs[da] = regs[b] as u32,
+                Tag::MoveRDlo => regs[a] = ptrs[db] as u16,
+                Tag::MoveDD => ptrs[da] = ptrs[db],
+                Tag::MoveRDhi => regs[a] = (ptrs[db] >> 16) as u16,
+                Tag::MoveDPair => {
+                    // Dd ← (Rb : R[b+1]) — Rb is the high half.
+                    ptrs[da] = ((regs[b] as u32) << 16) | regs[(b + 1) & 15] as u32;
+                }
+                Tag::LdiR => regs[a] = s.imm,
+                Tag::LdiD => ptrs[da] = s.imm32,
+                Tag::LdmByte => regs[a] = or_fault!(load_byte(mem, ptrs[db])) as u16,
+                Tag::LdmByteInc => {
+                    regs[a] = or_fault!(load_byte(mem, ptrs[db])) as u16;
+                    ptrs[db] = ptrs[db].wrapping_add(1);
+                }
+                Tag::LdmWord => regs[a] = or_fault!(load_word(mem, ptrs[db])),
+                Tag::LdmWordInc => {
+                    regs[a] = or_fault!(load_word(mem, ptrs[db]));
+                    ptrs[db] = ptrs[db].wrapping_add(2);
+                }
+                Tag::StmByte => or_fault!(store_byte(mem, ptrs[db], regs[a] as u8)),
+                Tag::StmByteInc => {
+                    or_fault!(store_byte(mem, ptrs[db], regs[a] as u8));
+                    ptrs[db] = ptrs[db].wrapping_add(1);
+                }
+                Tag::StmWord => or_fault!(store_word(mem, ptrs[db], regs[a])),
+                Tag::StmWordInc => {
+                    or_fault!(store_word(mem, ptrs[db], regs[a]));
+                    ptrs[db] = ptrs[db].wrapping_add(2);
+                }
+                Tag::Jump => {
+                    pc = s.imm as usize;
+                    continue;
+                }
+                Tag::Jz => {
+                    pc = branch(flags.z, s);
+                    continue;
+                }
+                Tag::Jnz => {
+                    pc = branch(!flags.z, s);
+                    continue;
+                }
+                Tag::Jc => {
+                    pc = branch(flags.c, s);
+                    continue;
+                }
+                Tag::Call => {
+                    if call_stack.len() >= CALL_STACK_DEPTH {
+                        break Err(VmError::CallOverflow);
+                    }
+                    call_stack.push(s.next_pc as usize);
+                    pc = s.imm as usize;
+                    continue;
+                }
+                Tag::Ret => match call_stack.pop() {
+                    Some(ret) => {
+                        pc = ret;
+                        continue;
+                    }
+                    None => {
+                        self.halted = true;
+                        break Ok(n);
+                    }
+                },
+            }
+            pc = s.next_pc as usize;
+        };
+        self.regs = regs;
+        self.ptrs = ptrs;
+        self.flags = flags;
+        self.pc = pc;
+        self.steps += n;
+        result
+    }
+
+    /// Execute one instruction: `run(1)`, with the budget running out
+    /// after that instruction reported as success.
+    pub fn step(&mut self) -> Result<(), VmError> {
+        match self.run(1) {
+            Ok(_) | Err(VmError::StepLimit { .. }) => Ok(()),
+            Err(e) => Err(e),
         }
     }
+}
+
+/// Target of a conditional jump: the immediate if taken, else fall through.
+#[inline(always)]
+fn branch(take: bool, s: Slot) -> usize {
+    if take {
+        s.imm as usize
+    } else {
+        s.next_pc as usize
+    }
+}
+
+/// Set Z and N from a result and pass it through.
+#[inline(always)]
+fn with_zn(flags: &mut Flags, v: u16) -> u16 {
+    flags.z = v == 0;
+    flags.n = v & 0x8000 != 0;
+    v
+}
+
+#[inline(always)]
+fn add(flags: &mut Flags, lhs: u16, rhs: u16, with_carry: bool) -> u16 {
+    let sum = lhs as u32 + rhs as u32 + (with_carry && flags.c) as u32;
+    flags.c = sum > 0xFFFF;
+    with_zn(flags, sum as u16)
+}
+
+/// `lhs − rhs − borrow` (the borrow only when `with_borrow`); `CMP`
+/// discards the result.
+#[inline(always)]
+fn sub(flags: &mut Flags, lhs: u16, rhs: u16, with_borrow: bool) -> u16 {
+    let total = rhs as u32 + (with_borrow && flags.c) as u32;
+    flags.c = (lhs as u32) < total;
+    with_zn(flags, (lhs as u32).wrapping_sub(total) as u16)
+}
+
+/// Shared shift body. `count == 0` leaves the value *and* the carry flag
+/// untouched (Z/N still update) — reference semantics.
+#[inline(always)]
+fn shift(flags: &mut Flags, x: u16, count: u32, op: Opcode) -> u16 {
+    let v = if count == 0 {
+        x
+    } else {
+        match op {
+            Opcode::Lsl => {
+                flags.c = (x >> (16 - count)) & 1 != 0;
+                x << count
+            }
+            Opcode::Lsr => {
+                flags.c = (x >> (count - 1)) & 1 != 0;
+                x >> count
+            }
+            Opcode::Asr => {
+                flags.c = (x >> (count - 1)) & 1 != 0;
+                ((x as i16) >> count) as u16
+            }
+            _ => x.rotate_right(count),
+        }
+    };
+    with_zn(flags, v)
+}
+
+#[inline(always)]
+fn load_byte(mem: &[u8], addr: u32) -> Result<u8, VmError> {
+    mem.get(addr as usize)
+        .copied()
+        .ok_or(VmError::MemFault { addr, len: 1 })
+}
+
+#[inline(always)]
+fn load_word(mem: &[u8], addr: u32) -> Result<u16, VmError> {
+    let lo = load_byte(mem, addr)?;
+    let hi = load_byte(mem, addr.wrapping_add(1))?;
+    Ok(u16::from_le_bytes([lo, hi]))
+}
+
+#[inline(always)]
+fn store_byte(mem: &mut [u8], addr: u32, v: u8) -> Result<(), VmError> {
+    match mem.get_mut(addr as usize) {
+        Some(slot) => {
+            *slot = v;
+            Ok(())
+        }
+        None => Err(VmError::MemFault { addr, len: 1 }),
+    }
+}
+
+/// Low byte first: a fault on the high byte leaves the low byte written,
+/// exactly like the reference interpreter.
+#[inline(always)]
+fn store_word(mem: &mut [u8], addr: u32, v: u16) -> Result<(), VmError> {
+    store_byte(mem, addr, v as u8)?;
+    store_byte(mem, addr.wrapping_add(1), (v >> 8) as u8)
 }
 
 /// Lower one word position. Overlapping decodings (jump targets inside
 /// immediates) are handled for free: every position gets its own slot.
 fn compile_slot(words: &[u16], pos: usize) -> Slot {
     let mut slot = Slot {
-        exec: op_ret,
+        tag: Tag::Ret,
         a: 0,
         b: 0,
-        da: 0,
-        db: 0,
         imm: 0,
         imm32: 0,
         next_pc: 0,
@@ -217,526 +500,78 @@ fn compile_slot(words: &[u16], pos: usize) -> Slot {
     let instr = match Instr::decode(words, pos) {
         Ok(i) => i,
         Err(DecodeErr::BadOpcode(v)) => {
-            slot.exec = op_fault_bad_opcode;
+            slot.tag = Tag::BadOpcode;
             slot.imm32 = v as u32;
             return slot;
         }
         Err(DecodeErr::Truncated) => {
-            slot.exec = op_fault_truncated;
+            slot.tag = Tag::Truncated;
             return slot;
         }
     };
     slot.a = instr.a;
     slot.b = instr.b;
-    slot.da = instr.a & 7;
-    slot.db = instr.b & 7;
     slot.imm = instr.imm;
     slot.imm32 = ((instr.imm2 as u32) << 16) | instr.imm as u32;
     slot.next_pc = (pos + instr.len_words()) as u32;
     use Opcode::*;
-    slot.exec = match (instr.opcode, instr.mode) {
-        // ADD/ADC pointer forms ignore carry-in (matching the reference
-        // `match`, whose M1/M3 arms never read it).
-        (Add | Adc, Mode::M1) => op_add_ptr_reg,
-        (Add | Adc, Mode::M3) => op_add_ptr_imm,
-        (Add, Mode::M2) => op_add_imm,
-        (Add, _) => op_add_reg,
-        (Adc, Mode::M2) => op_adc_imm,
-        (Adc, _) => op_adc_reg,
-        (Sub, Mode::M1) => op_sub_ptr_reg,
-        (Sub, Mode::M3) => op_sub_ptr_imm,
-        (Sub, Mode::M2) => op_sub_imm,
-        (Sub, _) => op_sub_reg,
+    slot.tag = match (instr.opcode, instr.mode) {
+        (Add | Adc, Mode::M1) => Tag::AddPtrReg,
+        (Add | Adc, Mode::M3) => Tag::AddPtrImm,
+        (Add, Mode::M2) => Tag::AddImm,
+        (Add, _) => Tag::AddReg,
+        (Adc, Mode::M2) => Tag::AdcImm,
+        (Adc, _) => Tag::AdcReg,
+        (Sub, Mode::M1) => Tag::SubPtrReg,
+        (Sub, Mode::M3) => Tag::SubPtrImm,
+        (Sub, Mode::M2) => Tag::SubImm,
+        (Sub, _) => Tag::SubReg,
         // SBB/CMP M3 carry an immediate word on the wire but the reference
         // semantics still take the register operand (only M2 selects imm).
-        (Sbb, Mode::M2) => op_sbb_imm,
-        (Sbb, _) => op_sbb_reg,
-        (Cmp, Mode::M2) => op_cmp_imm,
-        (Cmp, _) => op_cmp_reg,
-        (Mul, Mode::M1) => op_mul_hi,
-        (Mul, _) => op_mul_lo,
-        (And, Mode::M2) => op_and_imm,
-        (And, _) => op_and_reg,
-        (Or, Mode::M2) => op_or_imm,
-        (Or, _) => op_or_reg,
-        (Xor, Mode::M2) => op_xor_imm,
-        (Xor, _) => op_xor_reg,
-        (Lsl, Mode::M1) => op_lsl_imm,
-        (Lsl, _) => op_lsl_reg,
-        (Lsr, Mode::M1) => op_lsr_imm,
-        (Lsr, _) => op_lsr_reg,
-        (Asr, Mode::M1) => op_asr_imm,
-        (Asr, _) => op_asr_reg,
-        (Ror, Mode::M1) => op_ror_imm,
-        (Ror, _) => op_ror_reg,
-        (Move, Mode::M0) => op_move_rr,
-        (Move, Mode::M1) => op_move_dr,
-        (Move, Mode::M2) => op_move_r_dlo,
-        (Move, Mode::M3) => op_move_dd,
-        (Move, Mode::M4) => op_move_r_dhi,
-        (Move, _) => op_move_d_pair,
-        (Ldi, Mode::M1) => op_ldi_d,
-        (Ldi, _) => op_ldi_r,
-        (Ldm, Mode::M0) => op_ldm_byte,
-        (Ldm, Mode::M1) => op_ldm_byte_inc,
-        (Ldm, Mode::M2) => op_ldm_word,
-        (Ldm, _) => op_ldm_word_inc,
-        (Stm, Mode::M0) => op_stm_byte,
-        (Stm, Mode::M1) => op_stm_byte_inc,
-        (Stm, Mode::M2) => op_stm_word,
-        (Stm, _) => op_stm_word_inc,
-        (Jump, _) => op_jump,
-        (Jz, _) => op_jz,
-        (Jnz, _) => op_jnz,
-        (Jc, _) => op_jc,
-        (Call, _) => op_call,
-        (Ret, _) => op_ret,
+        (Sbb, Mode::M2) => Tag::SbbImm,
+        (Sbb, _) => Tag::SbbReg,
+        (Cmp, Mode::M2) => Tag::CmpImm,
+        (Cmp, _) => Tag::CmpReg,
+        (Mul, Mode::M1) => Tag::MulHi,
+        (Mul, _) => Tag::MulLo,
+        (And, Mode::M2) => Tag::AndImm,
+        (And, _) => Tag::AndReg,
+        (Or, Mode::M2) => Tag::OrImm,
+        (Or, _) => Tag::OrReg,
+        (Xor, Mode::M2) => Tag::XorImm,
+        (Xor, _) => Tag::XorReg,
+        (Lsl, Mode::M1) => Tag::LslImm,
+        (Lsl, _) => Tag::LslReg,
+        (Lsr, Mode::M1) => Tag::LsrImm,
+        (Lsr, _) => Tag::LsrReg,
+        (Asr, Mode::M1) => Tag::AsrImm,
+        (Asr, _) => Tag::AsrReg,
+        (Ror, Mode::M1) => Tag::RorImm,
+        (Ror, _) => Tag::RorReg,
+        (Move, Mode::M0) => Tag::MoveRR,
+        (Move, Mode::M1) => Tag::MoveDR,
+        (Move, Mode::M2) => Tag::MoveRDlo,
+        (Move, Mode::M3) => Tag::MoveDD,
+        (Move, Mode::M4) => Tag::MoveRDhi,
+        (Move, _) => Tag::MoveDPair,
+        (Ldi, Mode::M1) => Tag::LdiD,
+        (Ldi, _) => Tag::LdiR,
+        (Ldm, Mode::M0) => Tag::LdmByte,
+        (Ldm, Mode::M1) => Tag::LdmByteInc,
+        (Ldm, Mode::M2) => Tag::LdmWord,
+        (Ldm, _) => Tag::LdmWordInc,
+        (Stm, Mode::M0) => Tag::StmByte,
+        (Stm, Mode::M1) => Tag::StmByteInc,
+        (Stm, Mode::M2) => Tag::StmWord,
+        (Stm, _) => Tag::StmWordInc,
+        (Jump, _) => Tag::Jump,
+        (Jz, _) => Tag::Jz,
+        (Jnz, _) => Tag::Jnz,
+        (Jc, _) => Tag::Jc,
+        (Call, _) => Tag::Call,
+        (Ret, _) => Tag::Ret,
     };
     slot
-}
-
-// ---------------------------------------------------------------------------
-// Handlers. Every normal handler counts its step first (the reference
-// interpreter increments `steps` after decode, before execution, so
-// MemFault/CallOverflow land *after* the increment), then leaves `pc` on
-// the faulting instruction on error, else advances it. Fault slots skip
-// the increment: the interpreter never got past decode.
-// ---------------------------------------------------------------------------
-
-fn op_fault_bad_opcode(vm: &mut ThreadedVm, s: Slot) -> Result<(), VmError> {
-    Err(VmError::Decode {
-        pc: vm.pc,
-        err: DecodeErr::BadOpcode(s.imm32 as u8),
-    })
-}
-
-fn op_fault_truncated(vm: &mut ThreadedVm, _s: Slot) -> Result<(), VmError> {
-    Err(VmError::Decode {
-        pc: vm.pc,
-        err: DecodeErr::Truncated,
-    })
-}
-
-#[inline(always)]
-fn alu_add(vm: &mut ThreadedVm, a: usize, rhs: u16, carry_in: u32) {
-    let sum = vm.regs[a] as u32 + rhs as u32 + carry_in;
-    vm.flags.c = sum > 0xFFFF;
-    let v = sum as u16;
-    vm.regs[a] = v;
-    vm.set_zn(v);
-}
-
-#[inline(always)]
-fn alu_sub(vm: &mut ThreadedVm, a: usize, rhs: u16, borrow_in: u32, write: bool) {
-    let lhs = vm.regs[a] as u32;
-    let total = rhs as u32 + borrow_in;
-    vm.flags.c = lhs < total;
-    let v = lhs.wrapping_sub(total) as u16;
-    if write {
-        vm.regs[a] = v;
-    }
-    vm.set_zn(v);
-}
-
-fn op_add_reg(vm: &mut ThreadedVm, s: Slot) -> Result<(), VmError> {
-    vm.steps += 1;
-    alu_add(vm, s.a as usize, vm.regs[s.b as usize], 0);
-    vm.pc = s.next_pc as usize;
-    Ok(())
-}
-
-fn op_add_imm(vm: &mut ThreadedVm, s: Slot) -> Result<(), VmError> {
-    vm.steps += 1;
-    alu_add(vm, s.a as usize, s.imm, 0);
-    vm.pc = s.next_pc as usize;
-    Ok(())
-}
-
-fn op_adc_reg(vm: &mut ThreadedVm, s: Slot) -> Result<(), VmError> {
-    vm.steps += 1;
-    let carry_in = vm.flags.c as u32;
-    alu_add(vm, s.a as usize, vm.regs[s.b as usize], carry_in);
-    vm.pc = s.next_pc as usize;
-    Ok(())
-}
-
-fn op_adc_imm(vm: &mut ThreadedVm, s: Slot) -> Result<(), VmError> {
-    vm.steps += 1;
-    let carry_in = vm.flags.c as u32;
-    alu_add(vm, s.a as usize, s.imm, carry_in);
-    vm.pc = s.next_pc as usize;
-    Ok(())
-}
-
-fn op_add_ptr_reg(vm: &mut ThreadedVm, s: Slot) -> Result<(), VmError> {
-    vm.steps += 1;
-    let da = s.da as usize;
-    vm.ptrs[da] = vm.ptrs[da].wrapping_add(vm.regs[s.b as usize] as u32);
-    vm.pc = s.next_pc as usize;
-    Ok(())
-}
-
-fn op_add_ptr_imm(vm: &mut ThreadedVm, s: Slot) -> Result<(), VmError> {
-    vm.steps += 1;
-    let da = s.da as usize;
-    vm.ptrs[da] = vm.ptrs[da].wrapping_add(s.imm as u32);
-    vm.pc = s.next_pc as usize;
-    Ok(())
-}
-
-fn op_sub_ptr_reg(vm: &mut ThreadedVm, s: Slot) -> Result<(), VmError> {
-    vm.steps += 1;
-    let da = s.da as usize;
-    vm.ptrs[da] = vm.ptrs[da].wrapping_sub(vm.regs[s.b as usize] as u32);
-    vm.pc = s.next_pc as usize;
-    Ok(())
-}
-
-fn op_sub_ptr_imm(vm: &mut ThreadedVm, s: Slot) -> Result<(), VmError> {
-    vm.steps += 1;
-    let da = s.da as usize;
-    vm.ptrs[da] = vm.ptrs[da].wrapping_sub(s.imm as u32);
-    vm.pc = s.next_pc as usize;
-    Ok(())
-}
-
-fn op_sub_reg(vm: &mut ThreadedVm, s: Slot) -> Result<(), VmError> {
-    vm.steps += 1;
-    alu_sub(vm, s.a as usize, vm.regs[s.b as usize], 0, true);
-    vm.pc = s.next_pc as usize;
-    Ok(())
-}
-
-fn op_sub_imm(vm: &mut ThreadedVm, s: Slot) -> Result<(), VmError> {
-    vm.steps += 1;
-    alu_sub(vm, s.a as usize, s.imm, 0, true);
-    vm.pc = s.next_pc as usize;
-    Ok(())
-}
-
-fn op_sbb_reg(vm: &mut ThreadedVm, s: Slot) -> Result<(), VmError> {
-    vm.steps += 1;
-    let borrow_in = vm.flags.c as u32;
-    alu_sub(vm, s.a as usize, vm.regs[s.b as usize], borrow_in, true);
-    vm.pc = s.next_pc as usize;
-    Ok(())
-}
-
-fn op_sbb_imm(vm: &mut ThreadedVm, s: Slot) -> Result<(), VmError> {
-    vm.steps += 1;
-    let borrow_in = vm.flags.c as u32;
-    alu_sub(vm, s.a as usize, s.imm, borrow_in, true);
-    vm.pc = s.next_pc as usize;
-    Ok(())
-}
-
-fn op_cmp_reg(vm: &mut ThreadedVm, s: Slot) -> Result<(), VmError> {
-    vm.steps += 1;
-    alu_sub(vm, s.a as usize, vm.regs[s.b as usize], 0, false);
-    vm.pc = s.next_pc as usize;
-    Ok(())
-}
-
-fn op_cmp_imm(vm: &mut ThreadedVm, s: Slot) -> Result<(), VmError> {
-    vm.steps += 1;
-    alu_sub(vm, s.a as usize, s.imm, 0, false);
-    vm.pc = s.next_pc as usize;
-    Ok(())
-}
-
-fn op_mul_lo(vm: &mut ThreadedVm, s: Slot) -> Result<(), VmError> {
-    vm.steps += 1;
-    let a = s.a as usize;
-    let prod = vm.regs[a] as u32 * vm.regs[s.b as usize] as u32;
-    let v = prod as u16;
-    vm.regs[a] = v;
-    vm.set_zn(v);
-    vm.pc = s.next_pc as usize;
-    Ok(())
-}
-
-fn op_mul_hi(vm: &mut ThreadedVm, s: Slot) -> Result<(), VmError> {
-    vm.steps += 1;
-    let a = s.a as usize;
-    let prod = vm.regs[a] as u32 * vm.regs[s.b as usize] as u32;
-    let v = (prod >> 16) as u16;
-    vm.regs[a] = v;
-    vm.set_zn(v);
-    vm.pc = s.next_pc as usize;
-    Ok(())
-}
-
-macro_rules! logic_handlers {
-    ($reg:ident, $imm:ident, $op:tt) => {
-        fn $reg(vm: &mut ThreadedVm, s: Slot) -> Result<(), VmError> {
-            vm.steps += 1;
-            let a = s.a as usize;
-            let v = vm.regs[a] $op vm.regs[s.b as usize];
-            vm.regs[a] = v;
-            vm.set_zn(v);
-            vm.pc = s.next_pc as usize;
-            Ok(())
-        }
-        fn $imm(vm: &mut ThreadedVm, s: Slot) -> Result<(), VmError> {
-            vm.steps += 1;
-            let a = s.a as usize;
-            let v = vm.regs[a] $op s.imm;
-            vm.regs[a] = v;
-            vm.set_zn(v);
-            vm.pc = s.next_pc as usize;
-            Ok(())
-        }
-    };
-}
-
-logic_handlers!(op_and_reg, op_and_imm, &);
-logic_handlers!(op_or_reg, op_or_imm, |);
-logic_handlers!(op_xor_reg, op_xor_imm, ^);
-
-/// Shared shift body. `count == 0` leaves the value *and* the carry flag
-/// untouched (Z/N still update) — reference semantics.
-#[inline(always)]
-fn shift(vm: &mut ThreadedVm, a: usize, count: u32, op: Opcode) {
-    let x = vm.regs[a];
-    let v = if count == 0 {
-        x
-    } else {
-        match op {
-            Opcode::Lsl => {
-                vm.flags.c = (x >> (16 - count)) & 1 != 0;
-                x << count
-            }
-            Opcode::Lsr => {
-                vm.flags.c = (x >> (count - 1)) & 1 != 0;
-                x >> count
-            }
-            Opcode::Asr => {
-                vm.flags.c = (x >> (count - 1)) & 1 != 0;
-                ((x as i16) >> count) as u16
-            }
-            _ => x.rotate_right(count),
-        }
-    };
-    vm.regs[a] = v;
-    vm.set_zn(v);
-}
-
-macro_rules! shift_handlers {
-    ($imm:ident, $reg:ident, $op:expr) => {
-        fn $imm(vm: &mut ThreadedVm, s: Slot) -> Result<(), VmError> {
-            vm.steps += 1;
-            shift(vm, s.a as usize, s.b as u32, $op);
-            vm.pc = s.next_pc as usize;
-            Ok(())
-        }
-        fn $reg(vm: &mut ThreadedVm, s: Slot) -> Result<(), VmError> {
-            vm.steps += 1;
-            let count = (vm.regs[s.b as usize] & 15) as u32;
-            shift(vm, s.a as usize, count, $op);
-            vm.pc = s.next_pc as usize;
-            Ok(())
-        }
-    };
-}
-
-shift_handlers!(op_lsl_imm, op_lsl_reg, Opcode::Lsl);
-shift_handlers!(op_lsr_imm, op_lsr_reg, Opcode::Lsr);
-shift_handlers!(op_asr_imm, op_asr_reg, Opcode::Asr);
-shift_handlers!(op_ror_imm, op_ror_reg, Opcode::Ror);
-
-fn op_move_rr(vm: &mut ThreadedVm, s: Slot) -> Result<(), VmError> {
-    vm.steps += 1;
-    vm.regs[s.a as usize] = vm.regs[s.b as usize];
-    vm.pc = s.next_pc as usize;
-    Ok(())
-}
-
-fn op_move_dr(vm: &mut ThreadedVm, s: Slot) -> Result<(), VmError> {
-    vm.steps += 1;
-    vm.ptrs[s.da as usize] = vm.regs[s.b as usize] as u32;
-    vm.pc = s.next_pc as usize;
-    Ok(())
-}
-
-fn op_move_r_dlo(vm: &mut ThreadedVm, s: Slot) -> Result<(), VmError> {
-    vm.steps += 1;
-    vm.regs[s.a as usize] = vm.ptrs[s.db as usize] as u16;
-    vm.pc = s.next_pc as usize;
-    Ok(())
-}
-
-fn op_move_dd(vm: &mut ThreadedVm, s: Slot) -> Result<(), VmError> {
-    vm.steps += 1;
-    vm.ptrs[s.da as usize] = vm.ptrs[s.db as usize];
-    vm.pc = s.next_pc as usize;
-    Ok(())
-}
-
-fn op_move_r_dhi(vm: &mut ThreadedVm, s: Slot) -> Result<(), VmError> {
-    vm.steps += 1;
-    vm.regs[s.a as usize] = (vm.ptrs[s.db as usize] >> 16) as u16;
-    vm.pc = s.next_pc as usize;
-    Ok(())
-}
-
-fn op_move_d_pair(vm: &mut ThreadedVm, s: Slot) -> Result<(), VmError> {
-    vm.steps += 1;
-    let b = s.b as usize;
-    let hi = vm.regs[b] as u32;
-    let lo = vm.regs[(b + 1) & 15] as u32;
-    vm.ptrs[s.da as usize] = (hi << 16) | lo;
-    vm.pc = s.next_pc as usize;
-    Ok(())
-}
-
-fn op_ldi_r(vm: &mut ThreadedVm, s: Slot) -> Result<(), VmError> {
-    vm.steps += 1;
-    vm.regs[s.a as usize] = s.imm;
-    vm.pc = s.next_pc as usize;
-    Ok(())
-}
-
-fn op_ldi_d(vm: &mut ThreadedVm, s: Slot) -> Result<(), VmError> {
-    vm.steps += 1;
-    vm.ptrs[s.da as usize] = s.imm32;
-    vm.pc = s.next_pc as usize;
-    Ok(())
-}
-
-fn op_ldm_byte(vm: &mut ThreadedVm, s: Slot) -> Result<(), VmError> {
-    vm.steps += 1;
-    let addr = vm.ptrs[s.db as usize];
-    vm.regs[s.a as usize] = vm.load_byte(addr)? as u16;
-    vm.pc = s.next_pc as usize;
-    Ok(())
-}
-
-fn op_ldm_byte_inc(vm: &mut ThreadedVm, s: Slot) -> Result<(), VmError> {
-    vm.steps += 1;
-    let db = s.db as usize;
-    let addr = vm.ptrs[db];
-    vm.regs[s.a as usize] = vm.load_byte(addr)? as u16;
-    vm.ptrs[db] = addr.wrapping_add(1);
-    vm.pc = s.next_pc as usize;
-    Ok(())
-}
-
-fn op_ldm_word(vm: &mut ThreadedVm, s: Slot) -> Result<(), VmError> {
-    vm.steps += 1;
-    let addr = vm.ptrs[s.db as usize];
-    vm.regs[s.a as usize] = vm.load_word(addr)?;
-    vm.pc = s.next_pc as usize;
-    Ok(())
-}
-
-fn op_ldm_word_inc(vm: &mut ThreadedVm, s: Slot) -> Result<(), VmError> {
-    vm.steps += 1;
-    let db = s.db as usize;
-    let addr = vm.ptrs[db];
-    vm.regs[s.a as usize] = vm.load_word(addr)?;
-    vm.ptrs[db] = addr.wrapping_add(2);
-    vm.pc = s.next_pc as usize;
-    Ok(())
-}
-
-fn op_stm_byte(vm: &mut ThreadedVm, s: Slot) -> Result<(), VmError> {
-    vm.steps += 1;
-    let addr = vm.ptrs[s.db as usize];
-    let v = vm.regs[s.a as usize];
-    vm.store_byte(addr, v as u8)?;
-    vm.pc = s.next_pc as usize;
-    Ok(())
-}
-
-fn op_stm_byte_inc(vm: &mut ThreadedVm, s: Slot) -> Result<(), VmError> {
-    vm.steps += 1;
-    let db = s.db as usize;
-    let addr = vm.ptrs[db];
-    let v = vm.regs[s.a as usize];
-    vm.store_byte(addr, v as u8)?;
-    vm.ptrs[db] = addr.wrapping_add(1);
-    vm.pc = s.next_pc as usize;
-    Ok(())
-}
-
-fn op_stm_word(vm: &mut ThreadedVm, s: Slot) -> Result<(), VmError> {
-    vm.steps += 1;
-    let addr = vm.ptrs[s.db as usize];
-    let v = vm.regs[s.a as usize];
-    // Low byte first: a fault on the high byte leaves the low byte
-    // written, exactly like the reference interpreter.
-    vm.store_byte(addr, v as u8)?;
-    vm.store_byte(addr.wrapping_add(1), (v >> 8) as u8)?;
-    vm.pc = s.next_pc as usize;
-    Ok(())
-}
-
-fn op_stm_word_inc(vm: &mut ThreadedVm, s: Slot) -> Result<(), VmError> {
-    vm.steps += 1;
-    let db = s.db as usize;
-    let addr = vm.ptrs[db];
-    let v = vm.regs[s.a as usize];
-    vm.store_byte(addr, v as u8)?;
-    vm.store_byte(addr.wrapping_add(1), (v >> 8) as u8)?;
-    vm.ptrs[db] = addr.wrapping_add(2);
-    vm.pc = s.next_pc as usize;
-    Ok(())
-}
-
-fn op_jump(vm: &mut ThreadedVm, s: Slot) -> Result<(), VmError> {
-    vm.steps += 1;
-    vm.pc = s.imm as usize;
-    Ok(())
-}
-
-fn op_jz(vm: &mut ThreadedVm, s: Slot) -> Result<(), VmError> {
-    vm.steps += 1;
-    vm.pc = if vm.flags.z {
-        s.imm as usize
-    } else {
-        s.next_pc as usize
-    };
-    Ok(())
-}
-
-fn op_jnz(vm: &mut ThreadedVm, s: Slot) -> Result<(), VmError> {
-    vm.steps += 1;
-    vm.pc = if !vm.flags.z {
-        s.imm as usize
-    } else {
-        s.next_pc as usize
-    };
-    Ok(())
-}
-
-fn op_jc(vm: &mut ThreadedVm, s: Slot) -> Result<(), VmError> {
-    vm.steps += 1;
-    vm.pc = if vm.flags.c {
-        s.imm as usize
-    } else {
-        s.next_pc as usize
-    };
-    Ok(())
-}
-
-fn op_call(vm: &mut ThreadedVm, s: Slot) -> Result<(), VmError> {
-    vm.steps += 1;
-    if vm.call_stack.len() >= CALL_STACK_DEPTH {
-        return Err(VmError::CallOverflow);
-    }
-    vm.call_stack.push(s.next_pc as usize);
-    vm.pc = s.imm as usize;
-    Ok(())
-}
-
-fn op_ret(vm: &mut ThreadedVm, s: Slot) -> Result<(), VmError> {
-    vm.steps += 1;
-    match vm.call_stack.pop() {
-        Some(ret) => vm.pc = ret,
-        None => vm.halted = true,
-    }
-    let _ = s;
-    Ok(())
 }
 
 #[cfg(test)]
@@ -981,5 +816,94 @@ mod tests {
         assert_eq!(image.len_words(), db.len());
         let mo = crate::programs::modecode::program();
         assert_eq!(ThreadedImage::compile(&mo).len_words(), mo.len());
+    }
+
+    /// The archived decoders on real inputs: MODecode over an encoded
+    /// `test_small` emblem and DBDecode over an LZSS container.
+    fn archived_workloads() -> Vec<(&'static str, Vec<u16>, Vec<u8>)> {
+        use crate::layout::build_memory;
+        use crate::programs::{dbdecode, modecode};
+        use ule_emblem::geometry::{EDGE_CELLS, QUIET_CELLS};
+        use ule_emblem::{encode_emblem, EmblemGeometry, EmblemHeader, EmblemKind};
+
+        let geom = EmblemGeometry::test_small();
+        let payload: Vec<u8> = (0..geom.payload_capacity())
+            .map(|i| (i * 37 % 251) as u8)
+            .collect();
+        let len = payload.len() as u32;
+        let header = EmblemHeader::new(EmblemKind::Data, 3, 0, len, len);
+        let img = encode_emblem(&geom, &header, &payload);
+        let params = modecode::ModecodeParams {
+            width: img.width() as u16,
+            height: img.height() as u16,
+            cols: geom.cols as u16,
+            rows: geom.rows as u16,
+            cell_px: geom.cell_px as u16,
+            origin_px: ((QUIET_CELLS + EDGE_CELLS) * geom.cell_px) as u16,
+            nblocks: geom.rs_blocks() as u16,
+            xoff: 0,
+            yoff: 0,
+        };
+        let max_out = 16 + 2 * geom.rs_blocks() * 255 + 64;
+        let (mo_mem, _) = build_memory(img.as_bytes(), max_out, &params.to_words());
+
+        let text: Vec<u8> = (0..400u32)
+            .flat_map(|i| format!("{}\tname-{}\n", i * 7919 % 1000, i % 13).into_bytes())
+            .collect();
+        let archive = ule_compress::compress(ule_compress::Scheme::Lzss, &text);
+        let (db_mem, _) = build_memory(&archive, text.len(), &[]);
+        vec![
+            ("modecode", modecode::program(), mo_mem),
+            ("dbdecode", dbdecode::program(), db_mem),
+        ]
+    }
+
+    #[test]
+    fn archived_decoders_agree_at_every_fuel_cut_and_on_resume() {
+        for (name, program, mem) in archived_workloads() {
+            let mut reference = Vm::new(program.clone(), mem.clone());
+            let total = reference.run(u64::MAX).expect("archived decoder halts");
+            let status = u16::from_le_bytes([reference.mem[0], reference.mem[1]]);
+            assert_eq!(status, 0, "{name}: decoder status");
+            let full = reference.state();
+            let image = ThreadedImage::compile(&program);
+
+            // Fuel sweep: cut both engines at the same budget.
+            for fuel in (0..=64).chain([total / 3, total - 1, total, total + 1]) {
+                let mut r = Vm::new(program.clone(), mem.clone());
+                let mut t = image.instantiate(mem.clone());
+                assert_eq!(r.run(fuel), t.run(fuel), "{name}: result at fuel {fuel}");
+                assert_eq!(r.state(), t.state(), "{name}: state at fuel {fuel}");
+            }
+
+            // Resume: chunked runs reach the one-shot reference state.
+            for chunk in [1, 7, 1000] {
+                let mut t = image.instantiate(mem.clone());
+                let mut ran = 0;
+                // Bounded by the reference count, so a diverging resume
+                // fails instead of spinning.
+                let outcome = loop {
+                    match t.run(chunk) {
+                        Err(VmError::StepLimit { steps }) if ran + steps < total => ran += steps,
+                        other => break other.map(|k| ran + k),
+                    }
+                };
+                assert_eq!(outcome, Ok(total), "{name}: run in chunks of {chunk}");
+                assert_eq!(t.state(), full, "{name}: state in chunks of {chunk}");
+            }
+
+            // Lockstep: `step()` against the reference `Vm::step()`.
+            let mut r = Vm::new(program.clone(), mem.clone());
+            let mut t = image.instantiate(mem);
+            for i in 0..5_000 {
+                assert_eq!(r.step(), t.step(), "{name}: step {i}");
+                assert_eq!(
+                    (r.pc(), r.steps(), r.regs, r.ptrs, r.flags),
+                    (t.pc(), t.steps(), t.regs, t.ptrs, t.flags),
+                    "{name}: registers after step {i}"
+                );
+            }
+            assert_eq!(r.state(), t.state(), "{name}: state after lockstep");
+        }
     }
 }

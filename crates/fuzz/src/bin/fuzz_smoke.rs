@@ -2,11 +2,14 @@
 //! iteration budget, one JSON report, non-zero exit on any failure.
 //!
 //! ```text
-//! fuzz_smoke [--seed N] [--scale PERCENT] [--out BENCH_fuzz.json]
+//! fuzz_smoke [--seed N] [--scale PERCENT] [--target NAME] [--out BENCH_fuzz.json]
 //! ```
 //!
 //! `--scale 10` runs 10% of each target's budget (fast local sanity);
-//! CI runs the full budget. The per-target wall-clock ceiling turns a
+//! CI runs the full budget. `--target dynarisc-diff` runs that one target
+//! alone (an unknown name exits 2, like an unknown flag), so a leg can
+//! run one target deeper: `--target dynarisc-diff --scale 1000` is ten
+//! times its suggested budget. The per-target wall-clock ceiling turns a
 //! hang into a failed leg instead of a stuck runner.
 
 use std::time::Duration;
@@ -20,6 +23,7 @@ fn main() {
     let mut seed: u64 = 0x001E_2026;
     let mut scale: u64 = 100;
     let mut out_path = String::from("BENCH_fuzz.json");
+    let mut only: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         let mut value = |name: &str| {
@@ -29,6 +33,7 @@ fn main() {
         match arg.as_str() {
             "--seed" => seed = value("--seed").parse().expect("--seed: u64"),
             "--scale" => scale = value("--scale").parse().expect("--scale: percent"),
+            "--target" => only = Some(value("--target")),
             "--out" => out_path = value("--out"),
             other => {
                 eprintln!("unknown argument: {other}");
@@ -37,7 +42,14 @@ fn main() {
         }
     }
 
-    let targets = all_targets();
+    let mut targets = all_targets();
+    if let Some(name) = &only {
+        targets.retain(|t| t.name() == name);
+        if targets.is_empty() {
+            eprintln!("unknown target: {name}");
+            std::process::exit(2);
+        }
+    }
     let mut reports = Vec::new();
     let mut failed = false;
     for target in &targets {

@@ -7,7 +7,7 @@
 
 use crate::runner::FuzzTarget;
 use ule_compress::container::Scheme;
-use ule_dynarisc::{ThreadedImage, Vm};
+use ule_dynarisc::{ThreadedImage, Vm, VmError};
 use ule_emblem::{EmblemGeometry, EmblemHeader, EmblemKind};
 use ule_raster::image::GrayImage;
 use ule_raster::rng::SplitMix64;
@@ -522,12 +522,15 @@ impl FuzzTarget for DynaRiscVm {
 }
 
 /// Differential harness for the two DynaRisc engines: every mutated
-/// program image runs on the reference interpreter AND the threaded-code
+/// program image runs on the reference interpreter AND the pre-decoded
 /// engine under the same fuel bound, and any divergence — run result
 /// (including the fault variant), registers, pointers, flags, memory, pc,
-/// or fuel consumed — is a finding. This is the fuzz leg of the
-/// conformance net that lets the threaded engine serve as the production
-/// tier of `restore_emulated`.
+/// or fuel consumed — is a finding. Each input is checked at the full
+/// `VM_FUEL`, at a small fuel cut taken from its last byte (0–255, where
+/// `StepLimit` meets faults and halts), and as a pre-decoded run resumed
+/// in chunks of that cut up to `VM_FUEL`. This is the fuzz leg of the
+/// conformance net that lets the pre-decoded engine serve as the
+/// production tier of `restore_emulated`.
 struct DynaRiscDiff;
 
 impl FuzzTarget for DynaRiscDiff {
@@ -560,16 +563,42 @@ impl FuzzTarget for DynaRiscDiff {
         if words.is_empty() {
             return;
         }
-        let mut vm = Vm::new(words.clone(), vec![0u8; 1024]);
-        let res = vm.run(VM_FUEL);
         let image = ThreadedImage::compile(&words);
+        // Both engines at one fuel budget; returns the agreed outcome.
+        let diff = |fuel: u64| {
+            let mut vm = Vm::new(words.clone(), vec![0u8; 1024]);
+            let res = vm.run(fuel);
+            let mut tvm = image.instantiate(vec![0u8; 1024]);
+            let tres = tvm.run(fuel);
+            assert_eq!(tres, res, "engines disagree on run result at fuel {fuel}");
+            assert_eq!(
+                tvm.state(),
+                vm.state(),
+                "engines disagree on post-state (registers/memory/fuel) at fuel {fuel}"
+            );
+            (res, vm.state())
+        };
+        let (res, state) = diff(VM_FUEL);
+        let cut = u64::from(input[input.len() - 1]);
+        let _ = diff(cut);
+
+        // Resume: `cut`-step chunks must land where one full run does.
+        let chunk = cut.max(1);
         let mut tvm = image.instantiate(vec![0u8; 1024]);
-        let tres = tvm.run(VM_FUEL);
-        assert_eq!(tres, res, "engines disagree on run result");
+        let mut ran = 0;
+        let tres = loop {
+            match tvm.run(chunk.min(VM_FUEL - ran)) {
+                Err(VmError::StepLimit { steps }) if ran + steps < VM_FUEL => ran += steps,
+                Err(VmError::StepLimit { .. }) => break Err(VmError::StepLimit { steps: VM_FUEL }),
+                Ok(steps) => break Ok(ran + steps),
+                Err(e) => break Err(e),
+            }
+        };
+        assert_eq!(tres, res, "resumed run result differs (chunks of {chunk})");
         assert_eq!(
             tvm.state(),
-            vm.state(),
-            "engines disagree on post-state (registers/memory/fuel)"
+            state,
+            "resumed post-state differs (chunks of {chunk})"
         );
     }
 }

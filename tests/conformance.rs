@@ -10,7 +10,7 @@
 //!   with its golden `words:` encoding (regenerate with
 //!   `ULE_REGEN_GOLDEN=1`), plus a `program:` that executes the
 //!   instruction on **both** DynaRisc engines — reference interpreter and
-//!   threaded code — which must agree bit-for-bit before the `expect:`
+//!   pre-decoded engine — which must agree bit-for-bit before the `expect:`
 //!   post-state assertions are checked;
 //! * `verisc/*.txt` — a `mem:` image run on **all three** engine
 //!   implementations, which must agree bit-for-bit before any `expect:`
@@ -231,8 +231,8 @@ fn dynarisc_instruction_fixtures() {
         covered.insert(mnemonic);
 
         // 2. The program executes the instruction on BOTH DynaRisc
-        //    engines — the reference interpreter and the threaded-code
-        //    compiler — which must agree bit-for-bit (registers, pointers,
+        //    engines — the reference interpreter and the pre-decoded
+        //    engine — which must agree bit-for-bit (registers, pointers,
         //    flags, memory, pc, fuel) before any fixture expectation is
         //    consulted; the same three-engine discipline the VeRisc
         //    fixtures enforce below.
