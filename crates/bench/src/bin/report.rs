@@ -975,15 +975,17 @@ fn e14_obs(run: &mut Run) {
         "enabled-mode restore bytes are identical to disabled-mode (and bit-exact)".into(),
     );
 
-    // Gate 2: enabled-mode restore overhead. Median-of-3 same-process
+    // Gate 2: enabled-mode restore overhead. Interleaved same-process
     // A/B, like every other ratio in this report.
-    let t_off = time_med3(|| {
-        std::hint::black_box(sys.restore_native(&scans).expect("restore"));
-    });
-    let t_on = time_med3(|| {
-        let traced = sys.clone().with_telemetry(Telemetry::enabled());
-        std::hint::black_box(traced.restore_native(&scans).expect("restore"));
-    });
+    let (t_off, t_on) = time_ab(
+        || {
+            std::hint::black_box(sys.restore_native(&scans).expect("restore"));
+        },
+        || {
+            let traced = sys.clone().with_telemetry(Telemetry::enabled());
+            std::hint::black_box(traced.restore_native(&scans).expect("restore"));
+        },
+    );
     let overhead = t_on.as_secs_f64() / t_off.as_secs_f64().max(1e-9) - 1.0;
     println!(
         "  restore wall-clock: telemetry off {t_off:.2?}, on {t_on:.2?} -> overhead {:+.2}%",
@@ -1397,19 +1399,34 @@ fn e15_repair(run: &mut Run) {
     );
 }
 
-/// Median-of-3 wall-clock of `f` — the same-process A/B ratios below are
-/// robust to shared-runner noise because both sides slow down together,
-/// and the median discards one-off scheduling hiccups.
-fn time_med3<F: FnMut()>(mut f: F) -> Duration {
-    let mut runs: Vec<Duration> = (0..3)
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed()
-        })
-        .collect();
-    runs.sort();
-    runs[1]
+/// Rounds of [`time_ab`]: odd, so each side has a true median.
+const AB_ROUNDS: usize = 5;
+
+/// Interleaved A/B wall-clock: [`AB_ROUNDS`] rounds, each timing `a` and
+/// `b` once with the order alternating round by round (a b, b a, a b, …);
+/// returns the median of each side. Every ratio gate in this report is
+/// timed through here: a load change on a shared runner lands on both
+/// sides instead of on whichever one happened to run during it, and the
+/// medians discard one-off scheduling hiccups.
+fn time_ab<A: FnMut(), B: FnMut()>(mut a: A, mut b: B) -> (Duration, Duration) {
+    fn timed(f: &mut dyn FnMut()) -> Duration {
+        let t = Instant::now();
+        f();
+        t.elapsed()
+    }
+    let (mut ta, mut tb) = (Vec::new(), Vec::new());
+    for round in 0..AB_ROUNDS {
+        if round % 2 == 0 {
+            ta.push(timed(&mut a));
+            tb.push(timed(&mut b));
+        } else {
+            tb.push(timed(&mut b));
+            ta.push(timed(&mut a));
+        }
+    }
+    ta.sort();
+    tb.sort();
+    (ta[AB_ROUNDS / 2], tb[AB_ROUNDS / 2])
 }
 
 fn e11_kernels(run: &mut Run) {
@@ -1441,12 +1458,14 @@ fn e11_kernels(run: &mut Run) {
     }
 
     // CRC-32: slice-by-8 vs the original bitwise loop, 4 MiB.
-    let t_bit = time_med3(|| {
-        std::hint::black_box(scalar::crc32_bitwise(std::hint::black_box(&buf)));
-    });
-    let t_tab = time_med3(|| {
-        std::hint::black_box(ule_gf256::crc32(std::hint::black_box(&buf)));
-    });
+    let (t_bit, t_tab) = time_ab(
+        || {
+            std::hint::black_box(scalar::crc32_bitwise(std::hint::black_box(&buf)));
+        },
+        || {
+            std::hint::black_box(ule_gf256::crc32(std::hint::black_box(&buf)));
+        },
+    );
     let mbs = |len: usize, d: Duration| len as f64 / 1e6 / d.as_secs_f64().max(1e-9);
     let crc_speedup = t_bit.as_secs_f64() / t_tab.as_secs_f64().max(1e-9);
     println!("  primitive        scalar           kernel           speedup");
@@ -1460,20 +1479,22 @@ fn e11_kernels(run: &mut Run) {
     // messages per pass, enough passes for a stable median.
     let passes = 24usize;
     let enc_bytes = passes * msgs.len() * 223;
-    let t_senc = time_med3(|| {
-        for _ in 0..passes {
-            for m in &msgs {
-                std::hint::black_box(srs.encode(std::hint::black_box(m)));
+    let (t_senc, t_kenc) = time_ab(
+        || {
+            for _ in 0..passes {
+                for m in &msgs {
+                    std::hint::black_box(srs.encode(std::hint::black_box(m)));
+                }
             }
-        }
-    });
-    let t_kenc = time_med3(|| {
-        for _ in 0..passes {
-            for m in &msgs {
-                std::hint::black_box(rs.encode(std::hint::black_box(m)));
+        },
+        || {
+            for _ in 0..passes {
+                for m in &msgs {
+                    std::hint::black_box(rs.encode(std::hint::black_box(m)));
+                }
             }
-        }
-    });
+        },
+    );
     let enc_speedup = t_senc.as_secs_f64() / t_kenc.as_secs_f64().max(1e-9);
     println!(
         "  rs encode        {:>7.1} MB/s    {:>8.1} MB/s    {enc_speedup:>5.2}x",
@@ -1491,22 +1512,24 @@ fn e11_kernels(run: &mut Run) {
     let payload = ule_bench::random_payload(geom.payload_capacity(), 0xC1EA);
     let coded = inner_encode(&geom, &payload);
     let nblocks = geom.rs_blocks();
-    let t_sscan = time_med3(|| {
-        // Pre-kernel clean inner-decode, reproduced byte for byte.
-        let mut out = Vec::with_capacity(nblocks * 223);
-        for b in 0..nblocks {
-            let cw: Vec<u8> = (0..255).map(|i| coded[i * nblocks + b]).collect();
-            assert!(srs.is_clean(&cw), "clean stream must have zero syndromes");
-            out.extend_from_slice(&cw[..223]);
-        }
-        std::hint::black_box(out);
-    });
-    let t_kscan = time_med3(|| {
-        let (out, fixed) =
-            inner_decode_with(&geom, &coded, ThreadConfig::Serial).expect("clean decode");
-        assert_eq!(fixed, 0);
-        std::hint::black_box(out);
-    });
+    let (t_sscan, t_kscan) = time_ab(
+        || {
+            // Pre-kernel clean inner-decode, reproduced byte for byte.
+            let mut out = Vec::with_capacity(nblocks * 223);
+            for b in 0..nblocks {
+                let cw: Vec<u8> = (0..255).map(|i| coded[i * nblocks + b]).collect();
+                assert!(srs.is_clean(&cw), "clean stream must have zero syndromes");
+                out.extend_from_slice(&cw[..223]);
+            }
+            std::hint::black_box(out);
+        },
+        || {
+            let (out, fixed) =
+                inner_decode_with(&geom, &coded, ThreadConfig::Serial).expect("clean decode");
+            assert_eq!(fixed, 0);
+            std::hint::black_box(out);
+        },
+    );
     let scan_speedup = t_sscan.as_secs_f64() / t_kscan.as_secs_f64().max(1e-9);
     println!(
         "  clean decode     {:>7.1} MB/s    {:>8.1} MB/s    {scan_speedup:>5.2}x   \
@@ -1568,28 +1591,28 @@ fn e12_emulated_restore(run: &mut Run) {
         out.data_frames.len()
     );
 
-    let t_native = time_med3(|| {
-        let (r, _) = sys
-            .restore_native(&out.data_frames)
-            .expect("native restore");
-        std::hint::black_box(r);
-    });
-    let vsn = |t: Duration| t.as_secs_f64() / t_native.as_secs_f64().max(1e-9);
-
+    // The gated ratio (threaded serial vs native) is one interleaved
+    // pair; the other two tiers are timed as a second pair.
     let run_tier = |tier: EmulationTier, threads: ThreadConfig| {
-        let mut last = None;
-        let t = time_med3(|| {
-            last = Some(
-                MicrOlonys::restore_emulated(&text, &scans, tier, threads)
-                    .expect("emulated restore"),
-            );
-        });
-        let (bytes, stats) = last.unwrap();
-        (t, bytes, stats)
+        MicrOlonys::restore_emulated(&text, &scans, tier, threads).expect("emulated restore")
     };
-    let (t_ser, b_ser, s_ser) = run_tier(EmulationTier::Threaded, ThreadConfig::Serial);
-    let (t_par, b_par, s_par) = run_tier(EmulationTier::Threaded, ThreadConfig::Fixed(4));
-    let (t_int, b_int, s_int) = run_tier(EmulationTier::Interpreter, ThreadConfig::Serial);
+    let (mut ser, mut par, mut int) = (None, None, None);
+    let (t_native, t_ser) = time_ab(
+        || {
+            let (r, _) = sys
+                .restore_native(&out.data_frames)
+                .expect("native restore");
+            std::hint::black_box(r);
+        },
+        || ser = Some(run_tier(EmulationTier::Threaded, ThreadConfig::Serial)),
+    );
+    let (t_par, t_int) = time_ab(
+        || par = Some(run_tier(EmulationTier::Threaded, ThreadConfig::Fixed(4))),
+        || int = Some(run_tier(EmulationTier::Interpreter, ThreadConfig::Serial)),
+    );
+    let vsn = |t: Duration| t.as_secs_f64() / t_native.as_secs_f64().max(1e-9);
+    let ((b_ser, s_ser), (b_par, s_par), (b_int, s_int)) =
+        (ser.unwrap(), par.unwrap(), int.unwrap());
 
     println!("  tier                      time          vs native");
     println!("  native Rust               {t_native:>12.2?}  1.00x");

@@ -23,13 +23,14 @@
 
 use crate::archiver::MicrOlonys;
 use crate::bootstrap::document::Bootstrap;
+use std::borrow::Borrow;
 use ule_compress::ArchiveError;
 use ule_dynarisc::layout;
 use ule_dynarisc::programs::modecode::ModecodeParams;
 use ule_dynarisc::programs::{dbdecode, modecode};
 use ule_dynarisc::{ThreadedImage, Vm, VmError};
 use ule_emblem::geometry::RS_K;
-use ule_emblem::stream::{chunk_global_index, GROUP_DATA};
+use ule_emblem::stream::{Slot, StreamPlan};
 use ule_emblem::{
     decode_stream, decode_stream_traced, record_decode_health, EmblemHeader, EmblemKind,
     StreamError,
@@ -182,9 +183,10 @@ impl MicrOlonys {
     /// whole pass, the per-frame RS and erasure counters from the stream
     /// decoder, and decompression codec counters. The recorder only
     /// observes — restored bytes and stats are identical with it off.
-    pub fn restore_native(
+    /// `data_scans` may hold images or borrows of them.
+    pub fn restore_native<S: Borrow<GrayImage> + Sync>(
         &self,
-        data_scans: &[GrayImage],
+        data_scans: &[S],
     ) -> Result<(Vec<u8>, RestoreStats), RestoreError> {
         let tel = &self.telemetry;
         let _span = tel.span("restore.native");
@@ -532,8 +534,12 @@ fn modecode_from_prefix(boot: &Bootstrap) -> Result<Vec<u16>, RestoreError> {
 /// emblems. The emulated path has no outer-code recovery, so *every*
 /// chunk must be present; a shortfall is reported as
 /// [`RestoreError::FrameLoss`] naming the missing frames' global emblem
-/// indices (derived from the Bootstrap's outer-layout line — sequence
-/// numbers skip parity slots when the outer code is on).
+/// indices. Chunks are placed through the same
+/// [`StreamPlan`](ule_emblem::stream::StreamPlan) the encoder stamped
+/// headers from, built from the stream length, the Bootstrap's chunk
+/// capacity and its outer-layout line (sequence numbers skip parity slots
+/// when the outer code is on); a length whose layout overflows the 16-bit
+/// emblem index is corruption, refused before any table is sized.
 fn assemble_stream(
     decoded: &[(EmblemHeader, Vec<u8>)],
     kind: EmblemKind,
@@ -557,28 +563,26 @@ fn assemble_stream(
         });
     }
     let total = items[0].0.total_len as usize;
-    let expected_chunks = total.div_ceil(chunk_cap.max(1)).max(1);
+    let plan = StreamPlan::checked(total, chunk_cap, outer_parity).ok_or_else(|| {
+        RestoreError::Archive(ArchiveError::Corrupt(format!(
+            "{kind:?} stream of {total} bytes overflows the 16-bit emblem index"
+        )))
+    })?;
+    let expected_chunks = plan.data_emblems;
     let mut chunks: Vec<Option<&[u8]>> = vec![None; expected_chunks];
     for (h, p) in items {
-        let idx = h.index as usize;
-        let group = h.group as usize;
-        let start = chunk_global_index(group * GROUP_DATA, outer_parity);
-        // An index outside the group's own data range is a malformed
-        // header; rejecting it keeps garbage from displacing the genuine
-        // chunk (first copy wins below) — the slot stays missing instead.
-        if idx < start || idx - start >= GROUP_DATA {
-            continue;
-        }
-        let chunk = group * GROUP_DATA + (idx - start);
-        if chunk < expected_chunks && chunks[chunk].is_none() {
-            chunks[chunk] = Some(p.as_slice());
+        // A header naming no data slot of this layout is malformed;
+        // skipping it keeps garbage from displacing the genuine chunk
+        // (first copy wins) — the slot stays missing instead.
+        if let Some(Slot::Data(c)) = plan.slot_of(h) {
+            chunks[c].get_or_insert(p.as_slice());
         }
     }
     let missing: Vec<usize> = chunks
         .iter()
         .enumerate()
         .filter(|(_, c)| c.is_none())
-        .map(|(c, _)| chunk_global_index(c, outer_parity))
+        .map(|(c, _)| plan.emission_of(Slot::Data(c)))
         .collect();
     if !missing.is_empty() {
         return Err(RestoreError::FrameLoss {
@@ -608,6 +612,7 @@ fn assemble_stream(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ule_emblem::stream::chunk_global_index;
 
     /// Synthetic decoded-emblem list: `n_chunks` chunks of `cap` bytes
     /// (the last one short by `tail_short`), laid out with or without
@@ -619,22 +624,11 @@ mod tests {
         tail_short: usize,
         outer_parity: bool,
     ) -> Vec<(EmblemHeader, Vec<u8>)> {
-        let total = n_chunks * cap - tail_short;
+        let plan = StreamPlan::new(n_chunks * cap - tail_short, cap, outer_parity);
         (0..n_chunks)
             .map(|c| {
-                let len = if c + 1 == n_chunks {
-                    cap - tail_short
-                } else {
-                    cap
-                };
-                let h = EmblemHeader::new(
-                    kind,
-                    chunk_global_index(c, outer_parity) as u16,
-                    (c / GROUP_DATA) as u16,
-                    len as u32,
-                    total as u32,
-                );
-                (h, vec![c as u8; len])
+                let h = plan.header(kind, plan.emission_of(Slot::Data(c)));
+                (h, vec![c as u8; h.payload_len as usize])
             })
             .collect()
     }

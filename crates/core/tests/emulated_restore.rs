@@ -225,3 +225,42 @@ fn hostile_bootstrap_geometry_is_corrupt_not_an_abort() {
         }
     }
 }
+
+/// One checksum-valid `test_micro` frame whose header claims a
+/// `u32::MAX`-byte stream: a layout of millions of chunks, far past what
+/// the 16-bit emblem index can number.
+fn hostile_length_frame(sys: &MicrOlonys) -> ule_raster::GrayImage {
+    use ule_emblem::{encode_emblem, EmblemHeader, EmblemKind};
+    let header = EmblemHeader::new(EmblemKind::Data, 0, 0, 10, u32::MAX);
+    let emblem = encode_emblem(&sys.medium.geometry, &header, &[0x5A; 10]);
+    sys.medium.print(&emblem)
+}
+
+#[test]
+fn hostile_stream_length_is_refused_by_the_native_decoder() {
+    // The stream layout is sized from the header's length only after the
+    // 16-bit index check: no chunk table for millions of chunks.
+    let sys = micro_system();
+    match sys.restore_native(&[hostile_length_frame(&sys)]) {
+        Err(RestoreError::Stream(ule_emblem::StreamError::InconsistentHeaders)) => {}
+        other => panic!("expected InconsistentHeaders, got {other:?}"),
+    }
+}
+
+#[test]
+fn hostile_stream_length_is_corrupt_on_the_emulated_path() {
+    let sys = micro_system();
+    let out = sys.archive(&sample_dump());
+    let mut scans = out.system_frames.clone();
+    scans.push(hostile_length_frame(&sys));
+    match MicrOlonys::restore_emulated(
+        &out.bootstrap.to_text(),
+        &scans,
+        EmulationTier::Threaded,
+        ThreadConfig::Serial,
+    ) {
+        Err(RestoreError::Archive(ArchiveError::Corrupt(_))) => {}
+        // A frame-loss report here would list millions of indices.
+        other => panic!("expected Corrupt, got {:.200}", format!("{other:?}")),
+    }
+}

@@ -8,11 +8,17 @@
 //!
 //! Groups with fewer than 17 data emblems (the stream tail) use the
 //! shortened RS(n+3, n) code — still any-3-of-(n+3) recoverable.
+//!
+//! [`StreamPlan`] is the only code that knows how payload chunks map to
+//! emission slots and headers: the encoder stamps [`StreamPlan::header`],
+//! the native decoder here, the emulated assembler in `micr_olonys` and
+//! the vault's reel layout all place or derive frames through it.
 
 use crate::decode::{decode_emblem, DecodeError, DecodeStats};
 use crate::encode::encode_emblem;
 use crate::geometry::EmblemGeometry;
 use crate::header::{EmblemHeader, EmblemKind};
+use std::borrow::{Borrow, Cow};
 use ule_gf256::RsCode;
 use ule_obs::Telemetry;
 use ule_par::ThreadConfig;
@@ -23,7 +29,13 @@ pub const GROUP_DATA: usize = 17;
 /// Parity emblems per group.
 pub const GROUP_PARITY: usize = 3;
 
-/// How a payload maps onto emblems.
+/// How a payload maps onto emblems — the one owner of the frozen
+/// emission layout. Chunk `c` carries payload bytes `c·chunk_size ..`;
+/// with the outer code on, every group of [`GROUP_DATA`] chunks (the last
+/// group may be short) is followed by its [`GROUP_PARITY`] parity
+/// emblems, and one global index numbers every emission in that order.
+/// The encoder stamps [`StreamPlan::header`]; decoders place a scan
+/// through [`StreamPlan::slot_of`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct StreamPlan {
     /// Payload bytes carried per emblem.
@@ -36,28 +48,138 @@ pub struct StreamPlan {
     pub total_len: usize,
 }
 
+/// What one emission slot of a [`StreamPlan`] carries.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Slot {
+    /// Payload chunk `c` (a data-kind emblem: system, index, data, …).
+    Data(usize),
+    /// Outer-parity emblem `pos` (`0..GROUP_PARITY`) of outer group `group`.
+    Parity { group: usize, pos: usize },
+}
+
 impl StreamPlan {
+    /// The layout of a `len`-byte stream cut into `chunk_cap`-byte chunks
+    /// (at least one chunk, even for an empty stream).
+    pub fn new(len: usize, chunk_cap: usize, with_parity: bool) -> Self {
+        let chunk = chunk_cap.max(1);
+        let data = len.div_ceil(chunk).max(1);
+        let parity = if with_parity {
+            data.div_ceil(GROUP_DATA) * GROUP_PARITY
+        } else {
+            0
+        };
+        StreamPlan {
+            chunk_size: chunk,
+            data_emblems: data,
+            parity_emblems: parity,
+            total_len: len,
+        }
+    }
+
+    /// [`StreamPlan::new`] for a length read back from an archived
+    /// header: `None` when the last emission index would not fit the
+    /// header's 16-bit index field. No encoder writes such a stream, so
+    /// a decoder must not size its chunk tables from one.
+    pub fn checked(len: usize, chunk_cap: usize, with_parity: bool) -> Option<Self> {
+        let plan = Self::new(len, chunk_cap, with_parity);
+        (plan.total_emblems() <= usize::from(u16::MAX) + 1).then_some(plan)
+    }
+
     pub fn total_emblems(&self) -> usize {
         self.data_emblems + self.parity_emblems
+    }
+
+    /// Whether the outer code is on.
+    fn with_parity(&self) -> bool {
+        self.parity_emblems > 0
+    }
+
+    /// Number of outer groups.
+    fn groups(&self) -> usize {
+        self.data_emblems.div_ceil(GROUP_DATA)
+    }
+
+    /// The chunks of outer group `group`.
+    fn group_chunks(&self, group: usize) -> std::ops::Range<usize> {
+        group * GROUP_DATA..((group + 1) * GROUP_DATA).min(self.data_emblems)
+    }
+
+    /// The stream bytes chunk `c` carries (empty past the stream's end).
+    fn chunk_range(&self, c: usize) -> std::ops::Range<usize> {
+        (c * self.chunk_size).min(self.total_len)..((c + 1) * self.chunk_size).min(self.total_len)
+    }
+
+    /// The slot at emission index `emission` (`< total_emblems()`): the
+    /// inverse of [`chunk_global_index`], which places each group.
+    fn slot_at(&self, emission: usize) -> Slot {
+        let parity = self.with_parity();
+        let group = emission / (GROUP_DATA + if parity { GROUP_PARITY } else { 0 });
+        let within = emission - chunk_global_index(group * GROUP_DATA, parity);
+        let in_group = self.group_chunks(group).len();
+        if within < in_group {
+            Slot::Data(group * GROUP_DATA + within)
+        } else {
+            Slot::Parity {
+                group,
+                pos: within - in_group,
+            }
+        }
+    }
+
+    /// The emission index of `slot`.
+    pub fn emission_of(&self, slot: Slot) -> usize {
+        match slot {
+            Slot::Data(c) => chunk_global_index(c, self.with_parity()),
+            Slot::Parity { group, pos } => {
+                chunk_global_index(group * GROUP_DATA, true) + self.group_chunks(group).len() + pos
+            }
+        }
+    }
+
+    /// The exact header the encoder stamps on emission `emission` of a
+    /// `kind` stream (parity slots always carry [`EmblemKind::Parity`]).
+    pub fn header(&self, kind: EmblemKind, emission: usize) -> EmblemHeader {
+        let (kind, group, len) = match self.slot_at(emission) {
+            Slot::Data(c) => (kind, c / GROUP_DATA, self.chunk_range(c).len()),
+            Slot::Parity { group, .. } => (EmblemKind::Parity, group, self.chunk_size),
+        };
+        EmblemHeader::new(
+            kind,
+            emission as u16,
+            group as u16,
+            len as u32,
+            self.total_len as u32,
+        )
+    }
+
+    /// The slot a decoded header names, or `None` for every
+    /// (kind, group, index) combination this layout never produces — a
+    /// damaged-but-checksum-colliding header, or a scan from another
+    /// stream, must not land in (or clobber) a genuine slot. Payload and
+    /// stream lengths are not checked here.
+    pub fn slot_of(&self, header: &EmblemHeader) -> Option<Slot> {
+        let emission = header.index as usize;
+        if emission >= self.total_emblems() {
+            return None;
+        }
+        let slot = self.slot_at(emission);
+        let (group, parity) = match slot {
+            Slot::Data(c) => (c / GROUP_DATA, false),
+            Slot::Parity { group, .. } => (group, true),
+        };
+        (header.group as usize == group && (header.kind == EmblemKind::Parity) == parity)
+            .then_some(slot)
     }
 }
 
 /// Compute the emblem plan for `len` payload bytes.
 pub fn plan(geom: &EmblemGeometry, len: usize, with_parity: bool) -> StreamPlan {
-    let chunk = geom.payload_capacity();
-    let data = len.div_ceil(chunk).max(1);
-    let parity = if with_parity {
-        data.div_ceil(GROUP_DATA) * GROUP_PARITY
-    } else {
-        0
-    };
-    StreamPlan {
-        chunk_size: chunk,
-        data_emblems: data,
-        parity_emblems: parity,
-        total_len: len,
-    }
+    StreamPlan::new(len, geom.payload_capacity(), with_parity)
 }
+
+/// One emission of a stream: the header stamped on the emblem and the
+/// bytes it carries (a borrowed payload chunk, or an owned parity chunk).
+pub type Emission<'a> = (EmblemHeader, Cow<'a, [u8]>);
 
 /// Encode a payload into a sequence of emblem print masters.
 ///
@@ -84,7 +206,8 @@ pub fn encode_stream(
 /// [`encode_stream`] with the per-emblem work (outer-code parity, inner RS
 /// encode, cell layout, rasterisation) fanned out across `threads` workers,
 /// plus telemetry: spans for the outer-parity and render stages, counters
-/// for data/parity emblem counts.
+/// for data/parity emblem counts. It is [`stream_emissions`] followed by
+/// [`render_emissions`].
 ///
 /// Determinism: emblem content is a pure function of `(header, chunk)`, and
 /// both the outer-parity stage (one job per group) and the render stage
@@ -102,69 +225,68 @@ pub fn encode_stream_traced(
     threads: ThreadConfig,
     tel: &Telemetry,
 ) -> Vec<GrayImage> {
-    let p = plan(geom, payload.len(), with_parity);
-    let cap = p.chunk_size;
-    let total = payload.len() as u32;
-    let n_groups = p.data_emblems.div_ceil(GROUP_DATA);
-    let chunk = |c: usize| -> &[u8] {
-        let start = c * cap;
-        let end = ((c + 1) * cap).min(payload.len());
-        &payload[start.min(payload.len())..end]
-    };
+    let emissions = stream_emissions(geom, kind, payload, with_parity, threads, tel);
+    render_emissions(geom, &emissions, threads, tel)
+}
 
-    // Stage 1: outer-code parity chunks, one independent job per group.
-    // `parity_of` batches all `cap` byte columns per slice-kernel call
-    // (DESIGN.md §12) — byte-identical to the old column-at-a-time
-    // `fill_parity` loop, which is exactly the per-column contract
-    // `parity_of` documents and pins.
-    let parity_chunks: Vec<Vec<Vec<u8>>> = if with_parity {
+/// Stage 1 of the encoder: every emission of the stream in emission
+/// order, headers from [`StreamPlan::header`]. The outer-code parity
+/// chunks are computed here, one independent job per group; `parity_of`
+/// batches all byte columns per slice-kernel call (DESIGN.md §12).
+/// Panics if the stream needs more emissions than the 16-bit emblem
+/// index can number.
+pub fn stream_emissions<'a>(
+    geom: &EmblemGeometry,
+    kind: EmblemKind,
+    payload: &'a [u8],
+    with_parity: bool,
+    threads: ThreadConfig,
+    tel: &Telemetry,
+) -> Vec<Emission<'a>> {
+    let p = StreamPlan::checked(payload.len(), geom.payload_capacity(), with_parity)
+        .expect("stream exceeds the u16 emblem index space");
+    let cap = p.chunk_size;
+    let mut parity: Vec<Vec<Vec<u8>>> = if with_parity {
         let _span = tel.span("archive.encode.parity");
-        ule_par::map_indexed(threads, n_groups, |g| {
-            let base = g * GROUP_DATA;
-            let in_group = (p.data_emblems - base).min(GROUP_DATA);
-            let rs = RsCode::new(in_group + GROUP_PARITY, in_group);
-            let padded: Vec<Vec<u8>> = (0..in_group)
-                .map(|i| {
-                    let mut c = chunk(base + i).to_vec();
-                    c.resize(cap, 0);
-                    c
+        ule_par::map_indexed(threads, p.groups(), |g| {
+            let padded: Vec<Vec<u8>> = p
+                .group_chunks(g)
+                .map(|c| {
+                    let mut chunk = payload[p.chunk_range(c)].to_vec();
+                    chunk.resize(cap, 0);
+                    chunk
                 })
                 .collect();
             let refs: Vec<&[u8]> = padded.iter().map(|c| c.as_slice()).collect();
-            rs.parity_of(&refs)
+            RsCode::new(refs.len() + GROUP_PARITY, refs.len()).parity_of(&refs)
         })
     } else {
         Vec::new()
     };
-
-    // Stage 2: flatten to the emission order (group's data, then its
-    // parity; global sequential indices), then render every emblem in
-    // parallel.
-    let mut jobs: Vec<(EmblemHeader, &[u8])> = Vec::with_capacity(p.total_emblems());
-    let mut index = 0u16;
-    for g in 0..n_groups {
-        let base = g * GROUP_DATA;
-        let in_group = (p.data_emblems - base).min(GROUP_DATA);
-        for i in 0..in_group {
-            let ch = chunk(base + i);
-            let header = EmblemHeader::new(kind, index, g as u16, ch.len() as u32, total);
-            jobs.push((header, ch));
-            index += 1;
-        }
-        if with_parity {
-            for pchunk in &parity_chunks[g] {
-                let header =
-                    EmblemHeader::new(EmblemKind::Parity, index, g as u16, cap as u32, total);
-                jobs.push((header, pchunk.as_slice()));
-                index += 1;
-            }
-        }
-    }
     tel.add("encode.data_emblems", p.data_emblems as u64);
     tel.add("encode.parity_emblems", p.parity_emblems as u64);
+    (0..p.total_emblems())
+        .map(|e| {
+            let bytes = match p.slot_at(e) {
+                Slot::Data(c) => Cow::Borrowed(&payload[p.chunk_range(c)]),
+                Slot::Parity { group, pos } => Cow::Owned(std::mem::take(&mut parity[group][pos])),
+            };
+            (p.header(kind, e), bytes)
+        })
+        .collect()
+}
+
+/// Stage 2 of the encoder: rasterise every emission (inner RS encode,
+/// cell layout), one job per emblem, joined in emission order.
+pub fn render_emissions(
+    geom: &EmblemGeometry,
+    emissions: &[Emission<'_>],
+    threads: ThreadConfig,
+    tel: &Telemetry,
+) -> Vec<GrayImage> {
     let _span = tel.span("archive.encode.render");
-    ule_par::map(threads, &jobs, |(header, ch)| {
-        encode_emblem(geom, header, ch)
+    ule_par::map(threads, emissions, |(header, bytes)| {
+        encode_emblem(geom, header, bytes)
     })
 }
 
@@ -304,10 +426,12 @@ pub fn decode_stream(
 /// consume per-scan results in input order, so payload bytes and
 /// [`StreamStats`] are identical to the serial path at any thread count.
 /// The recorder only observes, and a disabled handle skips the sharded
-/// fan-out entirely.
-pub fn decode_stream_traced(
+/// fan-out entirely. `scans` may hold images or borrows of them
+/// (`&[&GrayImage]`), so a caller decoding frames it does not own never
+/// copies one.
+pub fn decode_stream_traced<S: Borrow<GrayImage> + Sync>(
     geom: &EmblemGeometry,
-    scans: &[GrayImage],
+    scans: &[S],
     threads: ThreadConfig,
     tel: &Telemetry,
 ) -> Result<(Vec<u8>, StreamStats), StreamError> {
@@ -320,15 +444,15 @@ pub fn decode_stream_traced(
     // writes stay item-local) and the shards merge back in input order.
     let results = if tel.is_enabled() {
         let shards = tel.fork(scans.len());
-        let jobs: Vec<(&GrayImage, Telemetry)> = scans.iter().zip(shards.iter().cloned()).collect();
+        let jobs: Vec<(&S, Telemetry)> = scans.iter().zip(shards.iter().cloned()).collect();
         let results = ule_par::map(threads, &jobs, |(scan, shard)| {
             let _frame = shard.span("scan.decode.frame");
-            decode_emblem(geom, scan)
+            decode_emblem(geom, (*scan).borrow())
         });
         tel.absorb(shards);
         results
     } else {
-        ule_par::map(threads, scans, |scan| decode_emblem(geom, scan))
+        ule_par::map(threads, scans, |scan| decode_emblem(geom, scan.borrow()))
     };
     record_decode_health(tel, &results);
     let mut decoded: Vec<(EmblemHeader, Vec<u8>, DecodeStats)> = Vec::new();
@@ -349,122 +473,80 @@ pub fn decode_stream_traced(
         return Err(StreamError::InconsistentHeaders);
     }
 
-    let cap = geom.payload_capacity();
-    let n_chunks = (total_len as usize).div_ceil(cap).max(1);
-    let n_groups = n_chunks.div_ceil(GROUP_DATA);
     // Did this stream carry outer parity? Surviving parity emblems say so
-    // directly; failing that, a data emblem whose (group, index) pair is
-    // *valid* under the parity layout but *invalid* under the dense one
-    // betrays the parity slots even when every parity frame was lost. The
-    // two-sided consistency check matters: a damaged-but-checksum-
-    // colliding header with an arbitrary out-of-range index must not flip
-    // an intact dense stream into the parity layout (it reads as garbage
-    // under both and is ignored here, then counted as a failed scan
-    // below). Residual blind spot: a stream that lost all its parity
-    // frames and every layout-disambiguating data emblem looks
-    // parity-less; group-0 emblems never disambiguate (both layouts
-    // agree there). Mis-inference can only misreport FrameLoss details
-    // or fail a group whose parity is entirely gone — never silently
-    // corrupt the success path.
-    let data_consistent = |h: &EmblemHeader, with_parity: bool| -> bool {
-        let group = h.group as usize;
-        if group >= n_chunks.div_ceil(GROUP_DATA) {
-            return false;
-        }
-        let start = chunk_global_index(group * GROUP_DATA, with_parity);
-        let idx = h.index as usize;
-        idx >= start && idx - start < group_data_count(group, n_chunks)
+    // directly; failing that, a data emblem whose header has a slot under
+    // the parity layout but none under the dense one betrays the parity
+    // slots even when every parity frame was lost. The two-sided check
+    // matters: a damaged-but-checksum-colliding header with an arbitrary
+    // out-of-range index must not flip an intact dense stream into the
+    // parity layout (it has no slot under either and is counted as a
+    // failed scan below). Residual blind spot: a stream that lost all its
+    // parity frames and every layout-disambiguating data emblem looks
+    // parity-less; group-0 emblems never disambiguate (both layouts agree
+    // there). Mis-inference can only misreport FrameLoss details or fail
+    // a group whose parity is entirely gone — never silently corrupt the
+    // success path. A length whose layout overflows the 16-bit emblem
+    // index is no stream any encoder wrote.
+    let cap = geom.payload_capacity();
+    let checked = |with_parity| {
+        StreamPlan::checked(total_len as usize, cap, with_parity)
+            .ok_or(StreamError::InconsistentHeaders)
     };
-    let had_parity = decoded.iter().any(|(h, _, _)| h.kind == EmblemKind::Parity)
-        || decoded.iter().any(|(h, _, _)| {
-            h.kind != EmblemKind::Parity && data_consistent(h, true) && !data_consistent(h, false)
-        });
+    let dense = checked(false)?;
+    let outer = checked(true);
+    let had_parity = decoded.iter().any(|(h, _, _)| {
+        h.kind == EmblemKind::Parity
+            || (outer.as_ref().is_ok_and(|p| p.slot_of(h).is_some()) && dense.slot_of(h).is_none())
+    });
+    let plan = if had_parity { outer? } else { dense };
 
-    // Rebuild chunk table: chunk c lives in group c / 17 at position c % 17.
-    let mut chunks: Vec<Option<Vec<u8>>> = vec![None; n_chunks];
-    let mut parity: Vec<Vec<Option<Vec<u8>>>> = vec![vec![None; GROUP_PARITY]; n_groups];
-    for (h, payload, _) in decoded {
-        let idx = h.index as usize;
-        let group = h.group as usize;
-        // A damaged-but-checksum-colliding header (or a scan from some
-        // other archive) can carry any (group, index) pair; coordinates
-        // inconsistent with this stream's layout count as a failed scan
-        // instead of panicking on index math or clobbering a good slot.
-        let group_start_idx = if group < n_groups {
-            group_start_index(group, n_chunks, had_parity)
-        } else {
-            usize::MAX
-        };
-        if group >= n_groups || idx < group_start_idx {
-            stats.failed_scans += 1;
-            continue;
-        }
-        let in_group = group_data_count(group, n_chunks);
-        match h.kind {
-            EmblemKind::Parity => {
-                // Parity emblems follow the group's data emblems: their
-                // position within the group is recovered from the index.
-                // An index inside the data range (or past the parity
-                // slots) is another layout inconsistency — rejecting it
-                // keeps a colliding header from clobbering a slot whose
-                // genuine emblem would then be dropped as a duplicate.
-                if idx < group_start_idx + in_group {
-                    stats.failed_scans += 1;
-                    continue;
-                }
-                let pos = idx - (group_start_idx + in_group);
-                if pos >= GROUP_PARITY {
-                    stats.failed_scans += 1;
-                    continue;
-                }
+    // Place every scan in its slot; first copy wins. A header naming no
+    // slot of this layout counts as a failed scan instead of clobbering a
+    // slot whose genuine emblem would then be dropped as a duplicate.
+    let mut chunks: Vec<Option<Vec<u8>>> = vec![None; plan.data_emblems];
+    let mut parity: Vec<Vec<Option<Vec<u8>>>> = vec![vec![None; GROUP_PARITY]; plan.groups()];
+    for (h, mut payload, _) in decoded {
+        match plan.slot_of(&h) {
+            Some(Slot::Data(c)) => {
+                chunks[c].get_or_insert(payload);
+            }
+            Some(Slot::Parity { group, pos }) => {
                 if parity[group][pos].is_none() {
-                    let mut p = payload;
-                    p.resize(cap, 0);
-                    parity[group][pos] = Some(p);
+                    payload.resize(cap, 0);
+                    parity[group][pos] = Some(payload);
                 }
             }
-            _ => {
-                // Same inconsistency guard for data: the index must land
-                // inside its own group's data range, or first-copy-wins
-                // would let garbage displace the genuine chunk.
-                let pos = idx - group_start_idx;
-                if pos >= in_group {
-                    stats.failed_scans += 1;
-                    continue;
-                }
-                let chunk_no = group * GROUP_DATA + pos;
-                if chunks[chunk_no].is_none() {
-                    chunks[chunk_no] = Some(payload);
-                }
-            }
+            None => stats.failed_scans += 1,
         }
     }
 
     // Per-group erasure recovery.
-    for group in 0..n_chunks.div_ceil(GROUP_DATA) {
-        let in_group = group_data_count(group, n_chunks);
-        let base = group * GROUP_DATA;
+    for (group, group_parity) in parity.iter().enumerate() {
+        let members = plan.group_chunks(group);
+        let (base, in_group) = (members.start, members.len());
         let missing: Vec<usize> = (0..in_group)
             .filter(|&i| chunks[base + i].is_none())
             .collect();
         if missing.is_empty() {
             continue;
         }
-        let parity_avail = parity[group].iter().filter(|p| p.is_some()).count();
+        let parity_avail = group_parity.iter().filter(|p| p.is_some()).count();
         let missing_parity = GROUP_PARITY - parity_avail;
         if missing.len() + missing_parity > GROUP_PARITY {
             // Name the absent frames by their global emblem indices. A
             // stream encoded without parity counts only its data emblems
             // as expected — the three "missing" parity slots are not lost
             // frames, they never existed.
-            let start = group_start_index(group, n_chunks, had_parity);
-            let mut absent: Vec<u16> = missing.iter().map(|&i| (start + i) as u16).collect();
+            let mut absent: Vec<u16> = missing
+                .iter()
+                .map(|&i| plan.emission_of(Slot::Data(base + i)) as u16)
+                .collect();
             let mut expected = in_group;
             if had_parity {
                 expected += GROUP_PARITY;
-                for (pi, p) in parity[group].iter().enumerate() {
+                for (pos, p) in group_parity.iter().enumerate() {
                     if p.is_none() {
-                        absent.push((start + in_group + pi) as u16);
+                        absent.push(plan.emission_of(Slot::Parity { group, pos }) as u16);
                     }
                 }
             }
@@ -478,7 +560,7 @@ pub fn decode_stream_traced(
         let rs = RsCode::new(in_group + GROUP_PARITY, in_group);
         // Erasure positions in codeword coordinates.
         let mut erasures: Vec<usize> = missing.clone();
-        for (pi, p) in parity[group].iter().enumerate() {
+        for (pi, p) in group_parity.iter().enumerate() {
             if p.is_none() {
                 erasures.push(in_group + pi);
             }
@@ -494,7 +576,7 @@ pub fn decode_stream_traced(
                     .as_ref()
                     .map_or(0, |c| c.get(j).copied().unwrap_or(0));
             }
-            for (pi, p) in parity[group].iter().enumerate() {
+            for (pi, p) in group_parity.iter().enumerate() {
                 col[in_group + pi] = p.as_ref().map_or(0, |c| c[j]);
             }
             let fixed =
@@ -512,15 +594,11 @@ pub fn decode_stream_traced(
         tel.add("decode.erasure_frames", erasures.len() as u64);
         tel.add("decode.outer_corrected_symbols", outer_corrected);
         for (mi, m) in missing.into_iter().enumerate() {
-            // Trim the final chunk to the stream tail length.
+            // Trim each recovered chunk to its logical length (only the
+            // stream's final chunk is short).
             let chunk_no = base + m;
-            let logical_len = if chunk_no + 1 == n_chunks {
-                total_len as usize - chunk_no * cap
-            } else {
-                cap
-            };
             let mut c = std::mem::take(&mut recovered[mi]);
-            c.truncate(logical_len);
+            c.truncate(plan.chunk_range(chunk_no).len());
             chunks[chunk_no] = Some(c);
             stats.emblems_recovered += 1;
         }
@@ -563,18 +641,6 @@ pub fn chunk_global_index(chunk: usize, with_parity: bool) -> usize {
     }
 }
 
-/// Global emblem index at which `group`'s data emblems start. (Only the
-/// last group can be short, so every preceding group is full and the
-/// chunk mapping applies directly.)
-fn group_start_index(group: usize, _n_chunks: usize, with_parity: bool) -> usize {
-    chunk_global_index(group * GROUP_DATA, with_parity)
-}
-
-/// Number of data emblems in `group`.
-fn group_data_count(group: usize, n_chunks: usize) -> usize {
-    (n_chunks - group * GROUP_DATA).min(GROUP_DATA)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -601,6 +667,101 @@ mod tests {
         assert_eq!(p.parity_emblems, 6);
         let p = plan(&g, cap * 5, false);
         assert_eq!(p.parity_emblems, 0);
+    }
+
+    #[test]
+    fn header_and_slot_of_are_inverses() {
+        let cap = 10;
+        for with_parity in [false, true] {
+            for n in 1..=60usize {
+                for tail in [cap, 1] {
+                    let len = (n - 1) * cap + tail;
+                    let p = StreamPlan::new(len, cap, with_parity);
+                    assert_eq!(p.data_emblems, n);
+                    // Every emission's header names exactly its own slot,
+                    // chunks in order, each group's parity after its data.
+                    let mut produced = std::collections::HashSet::new();
+                    let (mut next_chunk, mut bytes) = (0, 0);
+                    for e in 0..p.total_emblems() {
+                        let h = p.header(EmblemKind::Index, e);
+                        assert_eq!((h.index as usize, h.total_len as usize), (e, len));
+                        let slot = p.slot_of(&h).expect("stamped header has a slot");
+                        assert_eq!(p.emission_of(slot), e);
+                        match slot {
+                            Slot::Data(c) => {
+                                assert_eq!((h.kind, c), (EmblemKind::Index, next_chunk));
+                                next_chunk += 1;
+                                bytes += h.payload_len as usize;
+                            }
+                            Slot::Parity { group, pos } => {
+                                assert_eq!(h.kind, EmblemKind::Parity);
+                                assert_eq!(h.payload_len as usize, cap);
+                                assert_eq!(next_chunk, p.group_chunks(group).end);
+                                assert!(pos < GROUP_PARITY);
+                            }
+                        }
+                        produced.insert((h.kind == EmblemKind::Parity, h.group, h.index));
+                    }
+                    assert_eq!((next_chunk, bytes), (n, len));
+                    // Every other (kind, group, index) around the layout
+                    // names no slot.
+                    for parity in [false, true] {
+                        let kind = if parity {
+                            EmblemKind::Parity
+                        } else {
+                            EmblemKind::Data
+                        };
+                        for group in 0..p.groups() as u16 + 2 {
+                            for index in 0..p.total_emblems() as u16 + 25 {
+                                let h = EmblemHeader::new(kind, index, group, 1, len as u32);
+                                assert_eq!(
+                                    p.slot_of(&h).is_some(),
+                                    produced.contains(&(parity, group, index)),
+                                    "{n} chunks, parity {with_parity}: {h:?}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        // The headers are the ones the encoder stamps (2 outer groups).
+        let g = geom();
+        let data = payload(g.payload_capacity() * 20 + 5);
+        let p = plan(&g, data.len(), true);
+        let images = encode_stream(&g, EmblemKind::Data, &data, true);
+        assert_eq!(images.len(), p.total_emblems());
+        for (e, image) in images.iter().enumerate() {
+            let (h, _, _) = crate::decode::decode_emblem(&g, image).unwrap();
+            assert_eq!(h, p.header(EmblemKind::Data, e));
+        }
+    }
+
+    #[test]
+    fn checked_plan_refuses_the_u16_overflow() {
+        // 65 536 emissions end at index u16::MAX; one more chunk does not.
+        assert!(StreamPlan::checked(65_536 * 7, 7, false).is_some());
+        assert!(StreamPlan::checked(65_536 * 7 + 1, 7, false).is_none());
+        assert!(StreamPlan::checked(u32::MAX as usize, 223, true).is_none());
+        // With parity: 3 276 full groups, then a 13-chunk tail group.
+        let most = 3276 * GROUP_DATA + 13;
+        let p = StreamPlan::checked(most * 7, 7, true).unwrap();
+        assert_eq!(p.total_emblems(), 65_536);
+        assert!(StreamPlan::checked(most * 7 + 1, 7, true).is_none());
+        // The encoder refuses such a stream instead of wrapping indices.
+        let g = EmblemGeometry::test_micro();
+        let too_long = vec![0u8; g.payload_capacity() * 65_536 + 1];
+        let encode = || {
+            stream_emissions(
+                &g,
+                EmblemKind::Data,
+                &too_long,
+                false,
+                ThreadConfig::Serial,
+                &Telemetry::off(),
+            )
+        };
+        assert!(std::panic::catch_unwind(encode).is_err());
     }
 
     #[test]

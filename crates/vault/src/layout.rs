@@ -3,22 +3,23 @@
 //!
 //! A vault medium carries three content streams in one fixed frame
 //! sequence — system (DBDecode), index (catalog), data (segment records)
-//! — each laid out by [`ule_emblem::stream::encode_stream`]'s emission
-//! order (every group's data emblems followed by its outer-parity
-//! emblems). The sequence is split into content reels of
-//! `reel_capacity` frames, and every group of `group_reels` content
+//! — each laid out by its [`StreamPlan`], the emission layout
+//! `ule_emblem::stream` alone owns (every group's data emblems followed
+//! by its outer-parity emblems). The sequence is split into content reels
+//! of `reel_capacity` frames, and every group of `group_reels` content
 //! reels gets `group_parity` cross-reel parity reels (the `m` of
 //! `RS(k+m, k)`) appended after all content reels, group-major then
-//! slot-major.
+//! slot-major; each parity reel is one dense `ReelParity` stream.
 //!
 //! Everything here is *derivable*: given the Bootstrap's vault manifest
 //! (stream byte lengths, reel capacity, group size) and the emblem
-//! geometry, the layout reconstructs the exact [`EmblemHeader`] of any
-//! frame position without decoding it — which is what lets a lost reel's
-//! frames be re-encoded bit-for-bit from cross-reel parity.
+//! geometry, the layout names the exact [`EmblemHeader`] of any frame
+//! position without decoding it — [`StreamPlan::header`], the one the
+//! encoder stamps — which is what lets a lost reel's frames be re-encoded
+//! bit-for-bit from cross-reel parity.
 
 use micr_olonys::VaultManifest;
-use ule_emblem::stream::{GROUP_DATA, GROUP_PARITY};
+use ule_emblem::stream::StreamPlan;
 use ule_emblem::{EmblemHeader, EmblemKind};
 
 /// Which content stream a frame belongs to.
@@ -70,16 +71,6 @@ pub struct ReelLayout {
     pub group_parity: usize,
 }
 
-/// Frames of one stream: data chunks plus outer-parity emblems.
-fn stream_frames(len: usize, chunk_cap: usize, outer_parity: bool) -> usize {
-    let chunks = len.div_ceil(chunk_cap.max(1)).max(1);
-    if outer_parity {
-        chunks + chunks.div_ceil(GROUP_DATA) * GROUP_PARITY
-    } else {
-        chunks
-    }
-}
-
 impl ReelLayout {
     /// Build the layout from a parsed manifest plus the geometry facts the
     /// Bootstrap carries anyway.
@@ -96,14 +87,24 @@ impl ReelLayout {
         }
     }
 
+    /// The emission layout of content stream `stream`.
+    pub fn plan(&self, stream: StreamId) -> StreamPlan {
+        let len = match stream {
+            StreamId::System => self.sys_len,
+            StreamId::Index => self.index_len,
+            StreamId::Data => self.data_len,
+        };
+        StreamPlan::new(len, self.chunk_cap, self.outer_parity)
+    }
+
     pub fn sys_frames(&self) -> usize {
-        stream_frames(self.sys_len, self.chunk_cap, self.outer_parity)
+        self.plan(StreamId::System).total_emblems()
     }
     pub fn index_frames(&self) -> usize {
-        stream_frames(self.index_len, self.chunk_cap, self.outer_parity)
+        self.plan(StreamId::Index).total_emblems()
     }
     pub fn data_frames(&self) -> usize {
-        stream_frames(self.data_len, self.chunk_cap, self.outer_parity)
+        self.plan(StreamId::Data).total_emblems()
     }
 
     /// Total frames across the content reels.
@@ -199,14 +200,8 @@ impl ReelLayout {
     /// encoder stamps, reconstructible without decoding — which is what
     /// lets a lost *parity* reel be re-encoded bit-for-bit during repair.
     pub fn parity_frame_header(&self, g: usize, j: usize) -> EmblemHeader {
-        let plen = self.parity_stream_len(g);
-        EmblemHeader::new(
-            EmblemKind::ReelParity,
-            j as u16,
-            (j / GROUP_DATA) as u16,
-            self.chunk_cap as u32,
-            plen as u32,
-        )
+        StreamPlan::new(self.parity_stream_len(g), self.chunk_cap, false)
+            .header(EmblemKind::ReelParity, j)
     }
 
     /// Frames on each of group `g`'s parity reels.
@@ -248,65 +243,19 @@ impl ReelLayout {
     /// and exact header. Panics if `pos >= total_frames()`.
     pub fn frame_info(&self, pos: usize) -> FrameInfo {
         assert!(pos < self.total_frames(), "position {pos} beyond layout");
-        let (stream, emission, len) = if pos < self.sys_frames() {
-            (StreamId::System, pos, self.sys_len)
-        } else if pos < self.sys_frames() + self.index_frames() {
-            (StreamId::Index, pos - self.sys_frames(), self.index_len)
+        let (sys, index) = (self.sys_frames(), self.index_frames());
+        let (stream, emission) = if pos < sys {
+            (StreamId::System, pos)
+        } else if pos < sys + index {
+            (StreamId::Index, pos - sys)
         } else {
-            (
-                StreamId::Data,
-                pos - self.sys_frames() - self.index_frames(),
-                self.data_len,
-            )
-        };
-        let cap = self.chunk_cap;
-        let n_chunks = len.div_ceil(cap.max(1)).max(1);
-        let header = if !self.outer_parity {
-            let payload = chunk_len(emission, n_chunks, cap, len);
-            EmblemHeader::new(
-                stream.kind(),
-                emission as u16,
-                (emission / GROUP_DATA) as u16,
-                payload as u32,
-                len as u32,
-            )
-        } else {
-            let group = emission / (GROUP_DATA + GROUP_PARITY);
-            let within = emission % (GROUP_DATA + GROUP_PARITY);
-            let in_group = (n_chunks - group * GROUP_DATA).min(GROUP_DATA);
-            if within < in_group {
-                let chunk = group * GROUP_DATA + within;
-                EmblemHeader::new(
-                    stream.kind(),
-                    emission as u16,
-                    group as u16,
-                    chunk_len(chunk, n_chunks, cap, len) as u32,
-                    len as u32,
-                )
-            } else {
-                EmblemHeader::new(
-                    EmblemKind::Parity,
-                    emission as u16,
-                    group as u16,
-                    cap as u32,
-                    len as u32,
-                )
-            }
+            (StreamId::Data, pos - sys - index)
         };
         FrameInfo {
             stream,
             emission,
-            header,
+            header: self.plan(stream).header(stream.kind(), emission),
         }
-    }
-}
-
-/// Payload length of data chunk `chunk` in a `len`-byte stream.
-fn chunk_len(chunk: usize, n_chunks: usize, cap: usize, len: usize) -> usize {
-    if chunk + 1 == n_chunks {
-        len - chunk * cap
-    } else {
-        cap
     }
 }
 

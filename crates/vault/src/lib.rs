@@ -63,7 +63,7 @@ use layout::{ReelLayout, StreamId};
 use micr_olonys::{Bootstrap, MicrOlonys, RestoreError, VaultManifest};
 use segment::{segment_dump, Segment};
 use ule_compress::ArchiveError;
-use ule_emblem::stream::{chunk_global_index, StreamError, GROUP_DATA, GROUP_PARITY};
+use ule_emblem::stream::{chunk_global_index, render_emissions, stream_emissions, StreamError};
 use ule_emblem::{
     decode_emblem, decode_stream_traced, encode_emblem, encode_stream_traced, EmblemKind,
 };
@@ -545,23 +545,21 @@ impl Vault {
             group_reels: self.plan.data_reels,
             group_parity: self.plan.parity_reels,
         };
-        assert!(
-            layout.sys_frames() <= u16::MAX as usize
-                && layout.index_frames() <= u16::MAX as usize
-                && layout.data_frames() <= u16::MAX as usize,
-            "stream exceeds the u16 emblem index space"
-        );
-
-        // Encode + print the three content streams in shelf order.
+        // Encode + print the three content streams in shelf order. Their
+        // emissions (header plus chunk bytes, outer parity included) are
+        // kept: cross-reel parity runs over the very same bytes.
         let parity = self.system.with_parity;
         let mut frames = Vec::with_capacity(layout.total_frames());
+        let mut payloads = Vec::with_capacity(layout.total_frames());
         for (kind, bytes) in [
             (EmblemKind::System, &sys_bytes),
             (EmblemKind::Index, &index_bytes),
             (EmblemKind::Data, &data_bytes),
         ] {
-            let emblems = encode_stream_traced(&geom, kind, bytes, parity, threads, tel);
+            let emissions = stream_emissions(&geom, kind, bytes, parity, threads, tel);
+            let emblems = render_emissions(&geom, &emissions, threads, tel);
             frames.extend(self.system.medium.print_all_with(&emblems, threads));
+            payloads.extend(emissions.into_iter().map(|(_, chunk)| chunk));
         }
         debug_assert_eq!(frames.len(), layout.total_frames());
 
@@ -582,7 +580,7 @@ impl Vault {
         // `parity_of` hands back all m parity streams of a group from one
         // column-batched pass; each becomes its own reel, slot-major.
         if layout.parity_reels() > 0 {
-            let payloads = self.emission_payloads(&layout, &sys_bytes, &index_bytes, &data_bytes);
+            let cap = layout.chunk_cap;
             let m = layout.group_parity;
             for g in 0..layout.groups() {
                 let members: Vec<usize> = layout.group_members(g).collect();
@@ -594,6 +592,7 @@ impl Vault {
                         let base = r * layout.reel_capacity;
                         for j in 0..layout.reel_frames(r) {
                             bytes.extend_from_slice(&payloads[base + j]);
+                            bytes.resize((j + 1) * cap, 0);
                         }
                         bytes.resize(plen, 0);
                         bytes
@@ -651,47 +650,6 @@ impl Vault {
         }
     }
 
-    /// Padded chunk payload (exactly `chunk_cap` bytes) of every global
-    /// frame position, in shelf order — the byte streams cross-reel
-    /// parity is computed over. Outer-parity chunks are recomputed with
-    /// the same column code the emblem encoder uses, so these bytes match
-    /// the medium bit for bit.
-    fn emission_payloads(
-        &self,
-        layout: &ReelLayout,
-        sys: &[u8],
-        index: &[u8],
-        data: &[u8],
-    ) -> Vec<Vec<u8>> {
-        let cap = layout.chunk_cap;
-        let mut out = Vec::with_capacity(layout.total_frames());
-        for payload in [sys, index, data] {
-            let n_chunks = payload.len().div_ceil(cap.max(1)).max(1);
-            let chunk = |c: usize| -> Vec<u8> {
-                let start = (c * cap).min(payload.len());
-                let end = ((c + 1) * cap).min(payload.len());
-                let mut v = payload[start..end].to_vec();
-                v.resize(cap, 0);
-                v
-            };
-            if !layout.outer_parity {
-                out.extend((0..n_chunks).map(chunk));
-                continue;
-            }
-            for g in 0..n_chunks.div_ceil(GROUP_DATA) {
-                let base = g * GROUP_DATA;
-                let in_group = (n_chunks - base).min(GROUP_DATA);
-                let chunks: Vec<Vec<u8>> = (0..in_group).map(|i| chunk(base + i)).collect();
-                let refs: Vec<&[u8]> = chunks.iter().map(|c| c.as_slice()).collect();
-                let rs = RsCode::new(in_group + GROUP_PARITY, in_group);
-                let parity = rs.parity_of(&refs);
-                out.extend(chunks);
-                out.extend(parity);
-            }
-        }
-        out
-    }
-
     /// Scan every present reel of `archive` through the medium's channel
     /// (per-frame seeds perturbed per reel) — the test/bench convenience
     /// for producing a [`ReelScans`] shelf.
@@ -725,11 +683,7 @@ impl Vault {
         let Some(manifest) = &bootstrap.vault else {
             // Pre-S16 archive: no catalog, no reel map — concatenate
             // whatever survives and lean on the outer code.
-            let scans: Vec<GrayImage> = reels
-                .iter()
-                .flatten()
-                .flat_map(|r| r.iter().cloned())
-                .collect();
+            let scans: Vec<&GrayImage> = reels.iter().flatten().flatten().collect();
             let mut stats = VaultRestoreStats::new(RestorePath::Classic, scans.len());
             stats.frames_decoded = scans.len();
             let (dump, r) = self.system.restore_native(&scans)?;
@@ -981,24 +935,7 @@ impl Vault {
         source: &mut FrameSource<'_>,
         stats: &mut VaultRestoreStats,
     ) -> Result<ContentIndex, VaultError> {
-        let layout = source.layout;
-        let positions: Vec<usize> = (0..layout.index_frames())
-            .map(|q| layout.position(StreamId::Index, q))
-            .collect();
-        source.ensure(self, &positions, stats)?;
-        let scans: Vec<GrayImage> = positions.iter().map(|&p| source.get(p).clone()).collect();
-        stats.frames_decoded += scans.len();
-        let (bytes, s) = {
-            let _span = self.system.telemetry.span("vault.read_index");
-            decode_stream_traced(
-                &self.system.medium.geometry,
-                &scans,
-                self.system.threads,
-                &self.system.telemetry,
-            )?
-        };
-        stats.corrected_symbols += s.rs_corrected;
-        stats.erasure_frames += s.erasure_frames;
+        let bytes = self.decode_whole_stream(StreamId::Index, "vault.read_index", source, stats)?;
         if crc32(&bytes) != manifest.index_crc32 {
             return Err(VaultError::Index(IndexError::BadCrc {
                 stored: manifest.index_crc32,
@@ -1006,8 +943,37 @@ impl Vault {
             }));
         }
         let index = ContentIndex::parse(&bytes)?;
-        validate_index(&index, &layout)?;
+        validate_index(&index, &source.layout)?;
         Ok(index)
+    }
+
+    /// Decode every frame of content stream `stream` as one emblem stream
+    /// (outer-code recovery included), rebuilding lost reels first. The
+    /// scans are borrowed from the shelf, never copied.
+    fn decode_whole_stream(
+        &self,
+        stream: StreamId,
+        span: &str,
+        source: &mut FrameSource<'_>,
+        stats: &mut VaultRestoreStats,
+    ) -> Result<Vec<u8>, VaultError> {
+        let layout = source.layout;
+        let positions: Vec<usize> = (0..layout.plan(stream).total_emblems())
+            .map(|q| layout.position(stream, q))
+            .collect();
+        source.ensure(self, &positions, stats)?;
+        let scans: Vec<&GrayImage> = positions.iter().map(|&p| source.get(p)).collect();
+        stats.frames_decoded += scans.len();
+        let _span = self.system.telemetry.span(span);
+        let (bytes, s) = decode_stream_traced(
+            &self.system.medium.geometry,
+            &scans,
+            self.system.threads,
+            &self.system.telemetry,
+        )?;
+        stats.corrected_symbols += s.rs_corrected;
+        stats.erasure_frames += s.erasure_frames;
+        Ok(bytes)
     }
 
     /// Decode an arbitrary set of data-stream chunks, returning their
@@ -1111,22 +1077,8 @@ impl Vault {
         source: &mut FrameSource<'_>,
         stats: &mut VaultRestoreStats,
     ) -> Result<Vec<u8>, VaultError> {
-        let layout = source.layout;
-        let positions: Vec<usize> = (0..layout.data_frames())
-            .map(|q| layout.position(StreamId::Data, q))
-            .collect();
-        source.ensure(self, &positions, stats)?;
-        let scans: Vec<GrayImage> = positions.iter().map(|&p| source.get(p).clone()).collect();
-        stats.frames_decoded += scans.len();
-        let _span = self.system.telemetry.span("vault.full_restore");
-        let (data_bytes, s) = decode_stream_traced(
-            &self.system.medium.geometry,
-            &scans,
-            self.system.threads,
-            &self.system.telemetry,
-        )?;
-        stats.corrected_symbols += s.rs_corrected;
-        stats.erasure_frames += s.erasure_frames;
+        let data_bytes =
+            self.decode_whole_stream(StreamId::Data, "vault.full_restore", source, stats)?;
         // Walk the length-prefixed records and decompress each segment.
         let mut dump = Vec::new();
         for record in split_records(&data_bytes)? {

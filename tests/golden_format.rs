@@ -427,3 +427,59 @@ fn decoder_output_is_frozen() {
     assert!(!outcomes[4].contains(" ok"), "{outcomes:?}");
     assert_eq!(format!("{:08x}", crc32(&bytes)), "f9355d50", "{outcomes:?}");
 }
+
+/// The stream layout pinned where the sweep above cannot reach: a
+/// multi-group data stream (38 chunks: outer groups of 17, 17 and 4)
+/// sharded onto a vault shelf with `RS(5, 3)` cross-reel parity. One
+/// CRC-32 covers every reel's frames in shelf order, one the Bootstrap
+/// text, and one the header bytes `ReelLayout` derives for every content
+/// position and every parity-reel frame — so a layout change made alike
+/// in encoder and decoder, which every round-trip test would pass,
+/// fails here.
+#[test]
+fn vault_shelf_is_frozen() {
+    use ule::vault::{ShardPlan, Vault};
+
+    let threads = ThreadConfig::from_env_or(ThreadConfig::Serial);
+    let vault = Vault::sharded(
+        MicrOlonys::test_tiny().with_threads(threads),
+        ShardPlan::with_parity(12, 3, 2),
+    );
+    let arc = vault.archive(&ule::tpch::dump_for_scale(0.0001, 77));
+    let layout = arc.layout;
+    assert_eq!(
+        (
+            layout.data_frames(),
+            layout.content_reels(),
+            layout.parity_reels()
+        ),
+        (47, 5, 4)
+    );
+    let frames: Vec<_> = arc
+        .reels
+        .iter()
+        .flat_map(|r| r.frames.iter())
+        .cloned()
+        .collect();
+    let mut headers = Vec::new();
+    for pos in 0..layout.total_frames() {
+        headers.extend_from_slice(&layout.frame_info(pos).header.to_bytes());
+    }
+    for g in 0..layout.groups() {
+        for j in 0..layout.parity_reel_frames(g) {
+            headers.extend_from_slice(&layout.parity_frame_header(g, j).to_bytes());
+        }
+    }
+    let actual = [
+        format!("reels {:08x}", stream_crc32(&frames)),
+        format!(
+            "bootstrap {:08x}",
+            crc32(arc.bootstrap.to_text().as_bytes())
+        ),
+        format!("headers {:08x}", crc32(&headers)),
+    ];
+    assert_eq!(
+        actual,
+        ["reels 00182318", "bootstrap 2a962e2b", "headers 54aa40e6"]
+    );
+}
