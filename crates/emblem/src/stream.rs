@@ -505,16 +505,13 @@ pub fn decode_stream_traced<S: Borrow<GrayImage> + Sync>(
     // slot whose genuine emblem would then be dropped as a duplicate.
     let mut chunks: Vec<Option<Vec<u8>>> = vec![None; plan.data_emblems];
     let mut parity: Vec<Vec<Option<Vec<u8>>>> = vec![vec![None; GROUP_PARITY]; plan.groups()];
-    for (h, mut payload, _) in decoded {
+    for (h, payload, _) in decoded {
         match plan.slot_of(&h) {
             Some(Slot::Data(c)) => {
                 chunks[c].get_or_insert(payload);
             }
             Some(Slot::Parity { group, pos }) => {
-                if parity[group][pos].is_none() {
-                    payload.resize(cap, 0);
-                    parity[group][pos] = Some(payload);
-                }
+                parity[group][pos].get_or_insert(payload);
             }
             None => stats.failed_scans += 1,
         }
@@ -557,47 +554,28 @@ pub fn decode_stream_traced<S: Borrow<GrayImage> + Sync>(
                 missing: absent,
             });
         }
-        let rs = RsCode::new(in_group + GROUP_PARITY, in_group);
-        // Erasure positions in codeword coordinates.
-        let mut erasures: Vec<usize> = missing.clone();
-        for (pi, p) in group_parity.iter().enumerate() {
-            if p.is_none() {
-                erasures.push(in_group + pi);
-            }
-        }
-        stats.erasure_frames += erasures.len();
+        // The group's codeword streams: data chunks, then parity.
+        let streams: Vec<Option<&[u8]>> = chunks[members]
+            .iter()
+            .chain(group_parity)
+            .map(Option::as_deref)
+            .collect();
+        let erased = streams.iter().filter(|s| s.is_none()).count();
+        stats.erasure_frames += erased;
         let _recovery = tel.span("scan.decode.outer_recovery");
-        let mut outer_corrected = 0u64;
-        let mut recovered: Vec<Vec<u8>> = vec![vec![0u8; cap]; missing.len()];
-        let mut col = vec![0u8; in_group + GROUP_PARITY];
-        for j in 0..cap {
-            for i in 0..in_group {
-                col[i] = chunks[base + i]
-                    .as_ref()
-                    .map_or(0, |c| c.get(j).copied().unwrap_or(0));
-            }
-            for (pi, p) in group_parity.iter().enumerate() {
-                col[in_group + pi] = p.as_ref().map_or(0, |c| c[j]);
-            }
-            let fixed =
-                rs.decode(&mut col, &erasures)
-                    .map_err(|_| StreamError::TooManyMissing {
-                        group: group as u16,
-                        missing: erasures.len(),
-                        correctable: GROUP_PARITY,
-                    })?;
-            outer_corrected += fixed as u64;
-            for (mi, &m) in missing.iter().enumerate() {
-                recovered[mi][j] = col[m];
-            }
-        }
-        tel.add("decode.erasure_frames", erasures.len() as u64);
-        tel.add("decode.outer_corrected_symbols", outer_corrected);
-        for (mi, m) in missing.into_iter().enumerate() {
-            // Trim each recovered chunk to its logical length (only the
-            // stream's final chunk is short).
+        let (solved, outer_corrected) = RsCode::new(in_group + GROUP_PARITY, in_group)
+            .recover(&streams, cap)
+            .map_err(|_| StreamError::TooManyMissing {
+                group: group as u16,
+                missing: erased,
+                correctable: GROUP_PARITY,
+            })?;
+        tel.add("decode.erasure_frames", erased as u64);
+        tel.add("decode.outer_corrected_symbols", outer_corrected as u64);
+        // Erased data chunks come first in `solved`; trim each to its
+        // logical length (only the stream's final chunk is short).
+        for (m, mut c) in missing.into_iter().zip(solved) {
             let chunk_no = base + m;
-            let mut c = std::mem::take(&mut recovered[mi]);
             c.truncate(plan.chunk_range(chunk_no).len());
             chunks[chunk_no] = Some(c);
             stats.emblems_recovered += 1;

@@ -174,10 +174,9 @@ impl RsCode {
     /// the `parity_len()` parity streams, each of the shared stream
     /// length. This is the shape both stream-level RS uses share — the
     /// inter-emblem outer code (three parity emblems per group of 17) and
-    /// the cross-reel parity reels of the vault (S16, one parity reel per
-    /// reel group): any `parity_len()` whole streams may be lost and
-    /// recovered per column via [`RsCode::decode`] with their positions
-    /// given as erasures.
+    /// the cross-reel parity reels of the vault (S16, `m` parity reels
+    /// per reel group): any `parity_len()` whole streams may be lost, and
+    /// [`RsCode::recover`], the inverse, brings them back.
     ///
     /// # Panics
     /// Panics unless exactly `k` streams of one common length are given.
@@ -207,6 +206,55 @@ impl RsCode {
             }
         }
         rem
+    }
+
+    /// The decode half of [`RsCode::parity_of`]: solve the erased streams
+    /// of one codeword group. `streams` holds all `n` streams in codeword
+    /// order (`k` message, then `parity_len()` parity); `None` marks an
+    /// erased one, and a present stream shorter than `len` reads as
+    /// zero-padded. Each byte column `0..len` runs one [`RsCode::decode`]
+    /// with the erased positions as erasures, so leftover budget still
+    /// corrects a stray error in a present stream. Returns the erased
+    /// streams (`len` bytes each) in position order and the summed
+    /// corrected-symbol count; more than `parity_len()` erasures, an
+    /// undecodable column or a stream count other than `n` is an error.
+    ///
+    /// ```
+    /// use ule_gf256::RsCode;
+    /// let rs = RsCode::new(5, 3);
+    /// let parity = rs.parity_of(&[b"abcd", b"efgh", b"ij\0\0"]);
+    /// let streams = [Some(&b"abcd"[..]), None, Some(b"ij"), None, Some(&parity[1])];
+    /// let (solved, _) = rs.recover(&streams, 4).unwrap();
+    /// assert_eq!(solved, [b"efgh".to_vec(), parity[0].clone()]);
+    /// ```
+    pub fn recover(
+        &self,
+        streams: &[Option<&[u8]>],
+        len: usize,
+    ) -> Result<(Vec<Vec<u8>>, usize), RsError> {
+        if streams.len() != self.n {
+            return Err(RsError::LengthMismatch {
+                expected: self.n,
+                got: streams.len(),
+            });
+        }
+        let erasures: Vec<usize> = (0..self.n).filter(|&i| streams[i].is_none()).collect();
+        if erasures.len() > self.parity_len() {
+            return Err(RsError::TooManyErrors);
+        }
+        let mut solved = vec![vec![0u8; len]; erasures.len()];
+        let mut corrected = 0;
+        let mut col = vec![0u8; self.n];
+        for j in 0..len {
+            for (c, s) in col.iter_mut().zip(streams) {
+                *c = s.and_then(|s| s.get(j).copied()).unwrap_or(0);
+            }
+            corrected += self.decode(&mut col, &erasures)?;
+            for (out, &e) in solved.iter_mut().zip(&erasures) {
+                out[j] = col[e];
+            }
+        }
+        Ok((solved, corrected))
     }
 
     /// Compute parity over `cw[..k]` and write it into `cw[k..]`.

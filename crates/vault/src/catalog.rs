@@ -229,7 +229,9 @@ impl ContentIndex {
             .strip_prefix("segments: ")
             .and_then(|v| v.parse().ok())
             .ok_or_else(|| IndexError::BadLine(count_line.to_string()))?;
-        let mut entries = Vec::with_capacity(expected);
+        // Not presized from `expected`: the count is archived bytes, read
+        // before the CRC check can vouch for it.
+        let mut entries = Vec::new();
         let mut end_crc = None;
         for line in lines {
             if let Some(v) = line.strip_prefix("end: crc32=") {
@@ -544,6 +546,23 @@ mod tests {
             ContentIndex::parse(&bytes),
             Err(IndexError::BadCrc { .. })
         ));
+    }
+
+    #[test]
+    fn hostile_segment_count_is_not_preallocated() {
+        // Fuzz regression (`catalog-index__segments_count_prealloc.bin`):
+        // the count line is read before the CRC can vouch for it, and
+        // presizing the entry table from it asked for 112 TB.
+        let body = b"ULE VAULT INDEX 1\nchunk: 2\nsegments: 1000000000000\n";
+        let mut bytes = body.to_vec();
+        bytes.extend_from_slice(format!("end: crc32={:08x}\n", crc32(body)).as_bytes());
+        assert_eq!(
+            ContentIndex::parse(&bytes),
+            Err(IndexError::CountMismatch {
+                expected: 1_000_000_000_000,
+                got: 0
+            })
+        );
     }
 
     #[test]

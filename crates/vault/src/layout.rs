@@ -18,9 +18,11 @@
 //! encoder stamps — which is what lets a lost reel's frames be re-encoded
 //! bit-for-bit from cross-reel parity.
 
+use crate::VaultError;
 use micr_olonys::VaultManifest;
 use ule_emblem::stream::StreamPlan;
 use ule_emblem::{EmblemHeader, EmblemKind};
+use ule_gf256::RsCode;
 
 /// Which content stream a frame belongs to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -73,9 +75,28 @@ pub struct ReelLayout {
 
 impl ReelLayout {
     /// Build the layout from a parsed manifest plus the geometry facts the
-    /// Bootstrap carries anyway.
-    pub fn from_manifest(m: &VaultManifest, chunk_cap: usize, outer_parity: bool) -> Self {
-        Self {
+    /// Bootstrap carries anyway. The manifest is archived bytes, hostile
+    /// until checked: a stream no encoder could have written (its last
+    /// emission index past `u16::MAX`) or a reel group wider than an
+    /// `RS(n ≤ 255)` codeword is a [`VaultError::ShapeMismatch`], not a
+    /// layout to size buffers from.
+    pub fn from_manifest(
+        m: &VaultManifest,
+        chunk_cap: usize,
+        outer_parity: bool,
+    ) -> Result<Self, VaultError> {
+        for (stream, len) in [
+            ("system", m.sys_len),
+            ("index", m.index_len),
+            ("data", m.data_len),
+        ] {
+            if StreamPlan::checked(len, chunk_cap, outer_parity).is_none() {
+                return Err(VaultError::ShapeMismatch(format!(
+                    "manifest's {len}-byte {stream} stream overflows the 16-bit emblem index"
+                )));
+            }
+        }
+        let layout = Self {
             chunk_cap,
             sys_len: m.sys_len,
             index_len: m.index_len,
@@ -84,7 +105,14 @@ impl ReelLayout {
             reel_capacity: m.reel_capacity,
             group_reels: m.group_reels,
             group_parity: m.parity_reels,
+        };
+        let widest = layout.group_members(0).len().saturating_add(m.parity_reels);
+        if layout.groups() > 0 && m.parity_reels > 0 && widest > 255 {
+            return Err(VaultError::ShapeMismatch(format!(
+                "manifest's {widest}-reel parity group exceeds the 255-symbol RS codeword"
+            )));
         }
+        Ok(layout)
     }
 
     /// The emission layout of content stream `stream`.
@@ -160,9 +188,12 @@ impl ReelLayout {
         }
     }
 
-    /// Parity group of content reel `r`.
+    /// Parity group of reel `r`, content or parity.
     pub fn group_of(&self, r: usize) -> usize {
-        r / self.group_reels.max(1)
+        match self.parity_role_of(r) {
+            Some((g, _)) => g,
+            None => r / self.group_reels.max(1),
+        }
     }
 
     /// Content reel indices of parity group `g`.
@@ -193,6 +224,63 @@ impl ReelLayout {
         }
         let p = r - self.content_reels();
         Some((p / m, p % m))
+    }
+
+    /// Frames on reel `r`, content or parity.
+    pub fn frames_on(&self, r: usize) -> usize {
+        match self.parity_role_of(r) {
+            Some((g, _)) => self.parity_reel_frames(g),
+            None => self.reel_frames(r),
+        }
+    }
+
+    /// The exact header frame `j` of reel `r` carries, content or parity.
+    pub fn header_at(&self, r: usize, j: usize) -> EmblemHeader {
+        match self.parity_role_of(r) {
+            Some((g, _)) => self.parity_frame_header(g, j),
+            None => self.frame_info(r * self.reel_capacity + j).header,
+        }
+    }
+
+    /// Group `g`'s reels in codeword order: the content members, then the
+    /// parity reels in slot order.
+    pub fn codeword_reels(&self, g: usize) -> Vec<usize> {
+        self.group_members(g)
+            .chain(self.parity_reels_of(g))
+            .collect()
+    }
+
+    /// Group `g`'s cross-reel `RS(k+m, k)` code: `k` content members,
+    /// `m = group_parity` parity reels.
+    pub(crate) fn group_code(&self, g: usize) -> RsCode {
+        let k = self.group_members(g).len();
+        RsCode::new(k + self.group_parity, k)
+    }
+
+    /// Group `g`'s `m` cross-reel parity streams, slot order: one
+    /// [`RsCode::parity_of`] over the members' frame payloads
+    /// (`chunk_of(reel, offset)`), each zero-padded to `chunk_cap` and
+    /// the stream to [`ReelLayout::parity_stream_len`].
+    pub fn group_parity_streams<'a>(
+        &self,
+        g: usize,
+        chunk_of: impl Fn(usize, usize) -> &'a [u8],
+    ) -> Vec<Vec<u8>> {
+        let (cap, len) = (self.chunk_cap, self.parity_stream_len(g));
+        let streams: Vec<Vec<u8>> = self
+            .group_members(g)
+            .map(|r| {
+                let mut bytes = Vec::with_capacity(len);
+                for j in 0..self.reel_frames(r) {
+                    bytes.extend_from_slice(chunk_of(r, j));
+                    bytes.resize((j + 1) * cap, 0);
+                }
+                bytes.resize(len, 0);
+                bytes
+            })
+            .collect();
+        let refs: Vec<&[u8]> = streams.iter().map(Vec::as_slice).collect();
+        self.group_code(g).parity_of(&refs)
     }
 
     /// The exact header of frame `j` on any of group `g`'s parity reels:
@@ -321,6 +409,12 @@ mod tests {
         assert_eq!(h.total_len, 1000);
         assert_eq!(l.parity_reel_frames(0), 10);
         assert_eq!(l.parity_reel_frames(2), 1);
+        // The per-reel facts answer for content and parity reels alike.
+        assert_eq!(l.codeword_reels(1), vec![2, 3, 7, 8]);
+        assert_eq!(l.group_of(8), 1);
+        assert_eq!((l.frames_on(4), l.frames_on(6), l.frames_on(9)), (1, 10, 1));
+        assert_eq!(l.header_at(6, 3), h);
+        assert_eq!(l.header_at(3, 7), l.frame_info(37).header);
     }
 
     #[test]

@@ -23,7 +23,8 @@
 //!    of `DESIGN.md` §12 that is a column-batched slice operation, so
 //!    parity for megabytes of reel stream costs a handful of
 //!    `mul_add_slice` passes rather than a per-byte-column division), so
-//!    any `m` lost reels per group are reconstructed bit for bit; an
+//!    any `m` lost reels per group are reconstructed bit for bit through
+//!    its inverse, [`ule_gf256::RsCode::recover`]; an
 //!    `m+1`-th loss in the same group fails as the structured
 //!    [`VaultError::ReelLoss`]. The topology is a [`ShardPlan`]; a
 //!    single-parity plan reproduces the pre-multi-parity shelf and
@@ -68,7 +69,6 @@ use ule_emblem::{
     decode_emblem, decode_stream_traced, encode_emblem, encode_stream_traced, EmblemKind,
 };
 use ule_gf256::crc::{crc32, crc32_update};
-use ule_gf256::RsCode;
 use ule_obs::Telemetry;
 use ule_raster::GrayImage;
 use zones::{split_segment, ZonePredicate, ZoneSpec};
@@ -535,16 +535,7 @@ impl Vault {
         let (data_bytes, index, index_bytes) = self.compose(dump);
         let sys_bytes = MicrOlonys::system_stream_bytes();
 
-        let layout = ReelLayout {
-            chunk_cap: geom.payload_capacity(),
-            sys_len: sys_bytes.len(),
-            index_len: index_bytes.len(),
-            data_len: data_bytes.len(),
-            outer_parity: self.system.with_parity,
-            reel_capacity: self.plan.reel_capacity,
-            group_reels: self.plan.data_reels,
-            group_parity: self.plan.parity_reels,
-        };
+        let layout = self.layout_for(&index_bytes, &data_bytes);
         // Encode + print the three content streams in shelf order. Their
         // emissions (header plus chunk bytes, outer parity included) are
         // kept: cross-reel parity runs over the very same bytes.
@@ -574,33 +565,14 @@ impl Vault {
             });
         }
 
-        // Cross-reel parity reels: RS(k+m, k) column parity over the
-        // group members' padded chunk bytes (DESIGN.md §11/§16 for the
-        // math; with one parity reel this degenerates to GF(2^8) XOR).
-        // `parity_of` hands back all m parity streams of a group from one
-        // column-batched pass; each becomes its own reel, slot-major.
+        // Cross-reel parity reels: `RS(k+m, k)` column parity over the
+        // group members' padded chunk bytes, each of a group's `m` parity
+        // streams on its own reel, slot-major.
         if layout.parity_reels() > 0 {
-            let cap = layout.chunk_cap;
-            let m = layout.group_parity;
             for g in 0..layout.groups() {
-                let members: Vec<usize> = layout.group_members(g).collect();
-                let plen = layout.parity_stream_len(g);
-                let streams: Vec<Vec<u8>> = members
-                    .iter()
-                    .map(|&r| {
-                        let mut bytes = Vec::with_capacity(plen);
-                        let base = r * layout.reel_capacity;
-                        for j in 0..layout.reel_frames(r) {
-                            bytes.extend_from_slice(&payloads[base + j]);
-                            bytes.resize((j + 1) * cap, 0);
-                        }
-                        bytes.resize(plen, 0);
-                        bytes
-                    })
-                    .collect();
-                let refs: Vec<&[u8]> = streams.iter().map(|s| s.as_slice()).collect();
-                let rs = RsCode::new(members.len() + m, members.len());
-                for (slot, parity_bytes) in rs.parity_of(&refs).into_iter().enumerate() {
+                let parity = layout
+                    .group_parity_streams(g, |r, j| &payloads[r * layout.reel_capacity + j][..]);
+                for (slot, parity_bytes) in parity.into_iter().enumerate() {
                     let emblems = encode_stream_traced(
                         &geom,
                         EmblemKind::ReelParity,
@@ -691,7 +663,7 @@ impl Vault {
             stats.erasure_frames = r.erasure_frames;
             return Ok((dump, stats));
         };
-        let layout = self.layout_of(bootstrap, manifest);
+        let layout = self.layout_of(bootstrap, manifest)?;
         let mut stats = VaultRestoreStats::new(RestorePath::Full, layout.data_frames());
         let mut source = FrameSource::new(layout, reels)?;
         let dump = self.full_restore(&mut source, &mut stats)?;
@@ -774,7 +746,7 @@ impl Vault {
             let (dump, stats) = self.restore_all(bootstrap, reels)?;
             return Ok((Catalog::Dump(dump), stats));
         };
-        let layout = self.layout_of(bootstrap, manifest);
+        let layout = self.layout_of(bootstrap, manifest)?;
         let mut stats = VaultRestoreStats::new(RestorePath::Selective, layout.data_frames());
         let mut source = FrameSource::new(layout, reels)?;
         match self.read_index(manifest, &mut source, &mut stats) {
@@ -920,7 +892,11 @@ impl Vault {
         })
     }
 
-    fn layout_of(&self, bootstrap: &Bootstrap, manifest: &VaultManifest) -> ReelLayout {
+    fn layout_of(
+        &self,
+        bootstrap: &Bootstrap,
+        manifest: &VaultManifest,
+    ) -> Result<ReelLayout, VaultError> {
         ReelLayout::from_manifest(
             manifest,
             bootstrap.geometry().payload_capacity(),
@@ -961,7 +937,8 @@ impl Vault {
         let positions: Vec<usize> = (0..layout.plan(stream).total_emblems())
             .map(|q| layout.position(stream, q))
             .collect();
-        source.ensure(self, &positions, stats)?;
+        let lost = source.lost_reel_frames(&positions);
+        source.rebuild(self, &lost, stats)?;
         let scans: Vec<&GrayImage> = positions.iter().map(|&p| source.get(p)).collect();
         stats.frames_decoded += scans.len();
         let _span = self.system.telemetry.span(span);
@@ -998,24 +975,16 @@ impl Vault {
             .iter()
             .map(|&c| layout.chunk_position(StreamId::Data, c))
             .collect();
-        for &pos in &positions {
-            if pos >= layout.total_frames() {
-                // A catalog naming frames past the manifest's geometry is
-                // a structural lie, not an index to chase.
-                return Err(VaultError::ShapeMismatch(format!(
-                    "frame position {pos} beyond the {}-frame layout",
-                    layout.total_frames()
-                )));
-            }
-        }
-        let lost_wants: Vec<(usize, usize)> = positions
+        let located = positions
             .iter()
-            .filter_map(|&p| {
-                let (r, j) = layout.reel_of(p);
-                source.reels[r].is_none().then_some((r, j))
-            })
+            .map(|&pos| source.locate(pos))
+            .collect::<Result<Vec<_>, _>>()?;
+        let lost: Vec<(usize, usize)> = located
+            .iter()
+            .copied()
+            .filter(|&(r, _)| source.reels[r].is_none())
             .collect();
-        source.reconstruct(self, &lost_wants, stats)?;
+        source.rebuild(self, &lost, stats)?;
         let expects: Vec<usize> = chunks
             .iter()
             .map(|&c| chunk_global_index(c, layout.outer_parity))
@@ -1040,9 +1009,8 @@ impl Vault {
         if !bad.is_empty() && layout.parity_reels() > 0 {
             // Rebuild exactly the frames that failed from surviving group
             // columns, then decode only those once more.
-            let wants: Vec<(usize, usize)> =
-                bad.iter().map(|&i| layout.reel_of(positions[i])).collect();
-            source.reconstruct(self, &wants, stats)?;
+            let wants: Vec<(usize, usize)> = bad.iter().map(|&i| located[i]).collect();
+            source.rebuild(self, &wants, stats)?;
             for (i, payload) in bad.iter().zip(decode(source, &bad)) {
                 payloads[*i] = payload;
             }
@@ -1117,16 +1085,9 @@ impl Vault {
         stats: &mut VaultRestoreStats,
     ) -> Result<Vec<((usize, usize), GrayImage, bool)>, VaultError> {
         let geom = self.system.medium.geometry;
-        let cap = layout.chunk_cap;
         let m = layout.group_parity;
-        let members: Vec<usize> = layout.group_members(g).collect();
-        let group_reels: Vec<usize> = members
-            .iter()
-            .copied()
-            .chain(layout.parity_reels_of(g))
-            .collect();
-        let k = members.len();
-        let n = k + m;
+        let group_reels = layout.codeword_reels(g);
+        let rs = layout.group_code(g);
 
         // Physically lost reels are a group-wide budget question: past
         // `m` of them no offset is solvable and the structured error
@@ -1154,23 +1115,6 @@ impl Vault {
         }
         let jobs: Vec<(usize, Vec<usize>)> = by_offset.into_iter().collect();
 
-        // Frame count each reel must hold to be trusted as a source
-        // column. A reel that disagrees with the manifest (torn tape,
-        // partial scan) is never consumed zero-padded — recovering wrong
-        // bytes would only surface as a distant container-CRC mismatch
-        // naming no reel — it simply stops being a source.
-        let expected_frames: Vec<usize> = group_reels
-            .iter()
-            .enumerate()
-            .map(|(i, &r)| {
-                if i < k {
-                    layout.reel_frames(r)
-                } else {
-                    layout.parity_reel_frames(g)
-                }
-            })
-            .collect();
-
         let blank = GrayImage::new(geom.image_width(), geom.image_height(), 255);
         let _span = self.system.telemetry.span("vault.reconstruct_group");
         // Per offset: (rebuilt frames, source frames decoded, inner-RS
@@ -1181,79 +1125,51 @@ impl Vault {
                 let j = *j;
                 let mut decodes = 0usize;
                 let mut corrected = 0usize;
-                let mut columns: Vec<Option<Vec<u8>>> = Vec::with_capacity(n);
-                for (i, &r) in group_reels.iter().enumerate() {
-                    if targets.contains(&r) {
-                        columns.push(None);
-                        continue;
-                    }
-                    let Some(scans) = reels[r].as_ref() else {
-                        columns.push(None);
-                        continue;
-                    };
-                    if scans.len() != expected_frames[i] {
-                        columns.push(None);
-                        continue;
-                    }
-                    if j >= scans.len() {
-                        // Short tail reel: its stream is zero-padded past
-                        // its end by construction.
-                        columns.push(Some(vec![0u8; cap]));
-                        continue;
-                    }
-                    decodes += 1;
-                    match decode_emblem(&geom, &scans[j]) {
-                        Ok((_, mut payload, ds)) => {
-                            corrected += ds.rs_corrected;
-                            payload.resize(cap, 0);
-                            columns.push(Some(payload));
-                        }
-                        Err(_) => columns.push(None),
-                    }
-                }
-                let erased: Vec<usize> = columns
+                // Every codeword reel's payload at offset `j`; `None`
+                // erases it. A reel whose frame count disagrees with the
+                // manifest (torn tape, partial scan) is never consumed
+                // zero-padded — recovering wrong bytes would only surface
+                // as a distant container-CRC mismatch naming no reel — it
+                // simply stops being a source.
+                let payloads: Vec<Option<Vec<u8>>> = group_reels
                     .iter()
-                    .enumerate()
-                    .filter(|(_, c)| c.is_none())
-                    .map(|(i, _)| i)
+                    .map(|&r| {
+                        let scans = reels[r].as_ref().filter(|scans| {
+                            !targets.contains(&r) && scans.len() == layout.frames_on(r)
+                        })?;
+                        let Some(scan) = scans.get(j) else {
+                            // Short tail reel: its stream is zero-padded
+                            // past its end by construction.
+                            return Some(Vec::new());
+                        };
+                        decodes += 1;
+                        let (_, payload, ds) = decode_emblem(&geom, scan).ok()?;
+                        corrected += ds.rs_corrected;
+                        Some(payload)
+                    })
                     .collect();
-                let degrade = |decodes, corrected| {
+                let streams: Vec<Option<&[u8]>> = payloads.iter().map(Option::as_deref).collect();
+                let Ok((solved, _)) = rs.recover(&streams, layout.chunk_cap) else {
                     let out = targets
                         .iter()
                         .map(|&r| ((r, j), blank.clone(), false))
-                        .collect::<Vec<_>>();
-                    (out, decodes, corrected)
+                        .collect();
+                    return (out, decodes, corrected);
                 };
-                if erased.len() > m {
-                    return degrade(decodes, corrected);
-                }
-                let rs = RsCode::new(n, k);
-                let mut solved: Vec<Vec<u8>> = vec![vec![0u8; cap]; n];
-                let mut cw = vec![0u8; n];
-                for o in 0..cap {
-                    for (i, c) in columns.iter().enumerate() {
-                        cw[i] = c.as_ref().map_or(0, |v| v[o]);
-                    }
-                    if rs.decode(&mut cw, &erased).is_err() {
-                        return degrade(decodes, corrected);
-                    }
-                    for &e in &erased {
-                        solved[e][o] = cw[e];
-                    }
-                }
-                let out = targets
+                let erased = group_reels
                     .iter()
-                    .map(|&r| {
-                        let col = group_reels.iter().position(|&x| x == r).expect("in group");
-                        let header = match layout.parity_role_of(r) {
-                            Some((pg, _)) => layout.parity_frame_header(pg, j),
-                            None => layout.frame_info(r * layout.reel_capacity + j).header,
-                        };
-                        let payload_len = header.payload_len as usize;
-                        let image = encode_emblem(&geom, &header, &solved[col][..payload_len]);
+                    .zip(&streams)
+                    .filter_map(|(&r, s)| s.is_none().then_some(r));
+                let out = erased
+                    .zip(solved)
+                    .filter(|(r, _)| targets.contains(r))
+                    .map(|(r, bytes)| {
+                        let header = layout.header_at(r, j);
+                        let image =
+                            encode_emblem(&geom, &header, &bytes[..header.payload_len as usize]);
                         ((r, j), image, true)
                     })
-                    .collect::<Vec<_>>();
+                    .collect();
                 (out, decodes, corrected)
             });
 
@@ -1274,6 +1190,12 @@ impl Vault {
     /// full rasterisation cost of [`Vault::archive`].
     pub fn plan_layout(&self, dump: &[u8]) -> ReelLayout {
         let (data_bytes, _, index_bytes) = self.compose(dump);
+        self.layout_for(&index_bytes, &data_bytes)
+    }
+
+    /// The layout this configuration gives composed index and data
+    /// streams.
+    fn layout_for(&self, index_bytes: &[u8], data_bytes: &[u8]) -> ReelLayout {
         ReelLayout {
             chunk_cap: self.system.medium.geometry.payload_capacity(),
             sys_len: MicrOlonys::system_stream_bytes().len(),
@@ -1296,9 +1218,9 @@ enum Catalog<'a> {
 }
 
 /// Lazily reconstructing view over a [`ReelScans`] shelf: `get` hands out
-/// either the original scan or a reconstructed pristine frame — for lost
-/// reels after `ensure`, for damaged frames on present reels after
-/// `reconstruct` (the degraded-mode read path).
+/// either the original scan or a pristine frame [`FrameSource::rebuild`]
+/// reconstructed — a frame of a lost reel, or a damaged frame on a
+/// present one (the degraded-mode read path).
 struct FrameSource<'a> {
     layout: ReelLayout,
     reels: &'a ReelScans,
@@ -1337,41 +1259,39 @@ impl<'a> FrameSource<'a> {
         })
     }
 
-    /// Reconstruct every lost reel covering `positions` — whole reels,
-    /// so downstream whole-stream decodes see every offset. Selective
-    /// readers rebuild per-offset through [`FrameSource::reconstruct`]
-    /// instead.
-    fn ensure(
-        &mut self,
-        vault: &Vault,
-        positions: &[usize],
-        stats: &mut VaultRestoreStats,
-    ) -> Result<(), VaultError> {
-        let mut wants: Vec<(usize, usize)> = Vec::new();
-        for &pos in positions {
-            if pos >= self.layout.total_frames() {
-                // A catalog (or caller) naming frames past the manifest's
-                // geometry is a structural lie, not an index to chase.
-                return Err(VaultError::ShapeMismatch(format!(
-                    "frame position {pos} beyond the {}-frame layout",
-                    self.layout.total_frames()
-                )));
-            }
-            let (reel, _) = self.layout.reel_of(pos);
-            if self.reels[reel].is_none() && !self.touched.contains(&reel) {
-                wants.extend((0..self.layout.reel_frames(reel)).map(|j| (reel, j)));
-                self.touched.insert(reel);
-                stats.reels_reconstructed += 1;
-                vault.system.telemetry.add("vault.reels_reconstructed", 1);
-            }
+    /// `(reel, offset)` of global frame position `pos`. A catalog (or
+    /// caller) naming frames past the manifest's geometry is a structural
+    /// lie, not an index to chase.
+    fn locate(&self, pos: usize) -> Result<(usize, usize), VaultError> {
+        if pos >= self.layout.total_frames() {
+            return Err(VaultError::ShapeMismatch(format!(
+                "frame position {pos} beyond the {}-frame layout",
+                self.layout.total_frames()
+            )));
         }
-        self.rebuild(vault, &wants, stats)
+        Ok(self.layout.reel_of(pos))
     }
 
-    /// Degraded-mode reconstruction: rebuild exactly the named
-    /// `(reel, offset)` frames from their groups' surviving columns —
-    /// lost reels and damage-exhausted frames on present reels alike.
-    fn reconstruct(
+    /// Every offset of each lost reel the ascending `positions` touch:
+    /// what a whole-stream reader rebuilds, so the stream decoder sees
+    /// every frame.
+    fn lost_reel_frames(&self, positions: &[usize]) -> Vec<(usize, usize)> {
+        let mut lost: Vec<usize> = positions
+            .iter()
+            .map(|&pos| self.layout.reel_of(pos).0)
+            .filter(|&r| self.reels[r].is_none())
+            .collect();
+        lost.dedup();
+        lost.into_iter()
+            .flat_map(|r| (0..self.layout.frames_on(r)).map(move |j| (r, j)))
+            .collect()
+    }
+
+    /// Rebuild every wanted `(reel, offset)` frame not rebuilt yet from
+    /// its parity group's surviving columns — lost reels and
+    /// damage-exhausted frames on present reels alike — and store the
+    /// images.
+    fn rebuild(
         &mut self,
         vault: &Vault,
         wants: &[(usize, usize)],
@@ -1382,28 +1302,17 @@ impl<'a> FrameSource<'a> {
             .copied()
             .filter(|key| !self.rebuilt.contains_key(key))
             .collect();
+        if fresh.is_empty() {
+            return Ok(());
+        }
         for &(reel, _) in &fresh {
             if self.touched.insert(reel) {
                 stats.reels_reconstructed += 1;
                 vault.system.telemetry.add("vault.reels_reconstructed", 1);
             }
         }
-        self.rebuild(vault, &fresh, stats)
-    }
-
-    /// Fan the wanted frames out to their parity groups and store the
-    /// rebuilt images.
-    fn rebuild(
-        &mut self,
-        vault: &Vault,
-        wants: &[(usize, usize)],
-        stats: &mut VaultRestoreStats,
-    ) -> Result<(), VaultError> {
-        if wants.is_empty() {
-            return Ok(());
-        }
         if self.layout.parity_reels() == 0 {
-            let mut lost: Vec<usize> = wants.iter().map(|&(r, _)| r).collect();
+            let mut lost: Vec<usize> = fresh.iter().map(|&(r, _)| r).collect();
             lost.dedup();
             return Err(VaultError::ReelLoss {
                 group: 0,
@@ -1412,11 +1321,8 @@ impl<'a> FrameSource<'a> {
             });
         }
         let mut by_group: BTreeMap<usize, Vec<(usize, usize)>> = BTreeMap::new();
-        for &(reel, j) in wants {
-            let g = match self.layout.parity_role_of(reel) {
-                Some((g, _)) => g,
-                None => self.layout.group_of(reel),
-            };
+        for (reel, j) in fresh {
+            let g = self.layout.group_of(reel);
             by_group.entry(g).or_default().push((reel, j));
         }
         for (g, group_wants) in by_group {
@@ -1430,13 +1336,13 @@ impl<'a> FrameSource<'a> {
     }
 
     /// The frame at global position `pos` (original scan or rebuilt).
-    /// `ensure`/`reconstruct` must have covered `pos` first.
+    /// `rebuild` must have covered `pos` first if its reel is lost.
     fn get(&self, pos: usize) -> &GrayImage {
         let (reel, offset) = self.layout.reel_of(pos);
         if let Some(image) = self.rebuilt.get(&(reel, offset)) {
             return image;
         }
-        &self.reels[reel].as_ref().expect("ensure covered pos")[offset]
+        &self.reels[reel].as_ref().expect("rebuild covered pos")[offset]
     }
 }
 
@@ -1478,7 +1384,9 @@ pub fn split_records(data_bytes: &[u8]) -> Result<Vec<&[u8]>, VaultError> {
 /// into its original segment bytes, verifying the catalog's CRC of the
 /// originals.
 fn decode_record_run(run: &[u8], entry: &IndexEntry) -> Result<Vec<u8>, VaultError> {
-    let mut bytes = Vec::with_capacity(entry.dump_len as usize);
+    // Not presized from `dump_len`: the catalog is archived bytes, and
+    // a hostile length must not reach the allocator.
+    let mut bytes = Vec::new();
     for record in split_records(run)? {
         bytes.extend(ule_compress::decompress(record)?);
     }
@@ -1832,6 +1740,26 @@ mod tests {
         let entry = arc.index.find("lineitem").unwrap();
         let start = entry.dump_start as usize;
         assert_eq!(scan.concat(), &dump[start..start + entry.dump_len as usize]);
+    }
+
+    #[test]
+    fn hostile_dump_length_is_not_preallocated() {
+        // A catalog entry claiming a 1 PB segment: presizing the output
+        // from `dump_len` aborted the process before the length check.
+        let entry = IndexEntry {
+            name: "t".into(),
+            archive_start: 0,
+            archive_len: 0,
+            dump_start: 0,
+            dump_len: 1 << 50,
+            crc32: crc32(&[]),
+            zone_columns: Vec::new(),
+            zones: Vec::new(),
+        };
+        assert!(matches!(
+            decode_record_run(&[], &entry),
+            Err(VaultError::ShapeMismatch(_))
+        ));
     }
 
     #[test]

@@ -26,7 +26,6 @@ use crate::layout::ReelLayout;
 use crate::{ReelRole, ReelScans, RestorePath, Vault, VaultError, VaultRestoreStats};
 use micr_olonys::Bootstrap;
 use ule_emblem::decode_emblem;
-use ule_gf256::RsCode;
 
 /// Scrub verdict for one reel.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -147,8 +146,8 @@ struct ReelAudit {
     frames: usize,
     damaged: Vec<usize>,
     corrected: usize,
-    /// Per-offset decoded payloads, zero-padded to `chunk_cap`; `None`
-    /// where the frame is damaged or the reel is missing.
+    /// Per-offset decoded payloads; `None` where the frame is damaged or
+    /// the reel is missing.
     payloads: Vec<Option<Vec<u8>>>,
 }
 
@@ -168,7 +167,7 @@ impl Vault {
                 "classic archive carries no reel manifest to scrub".into(),
             ));
         };
-        let layout = self.layout_of(bootstrap, manifest);
+        let layout = self.layout_of(bootstrap, manifest)?;
         if reels.len() != layout.total_reels() {
             return Err(VaultError::ShapeMismatch(format!(
                 "manifest describes {} reels, shelf holds {}",
@@ -220,11 +219,7 @@ impl Vault {
         for g in 0..layout.groups() {
             let members: Vec<usize> = layout.group_members(g).collect();
             let parity: Vec<usize> = layout.parity_reels_of(g).collect();
-            let group_reels: Vec<usize> = members
-                .iter()
-                .copied()
-                .chain(parity.iter().copied())
-                .collect();
+            let group_reels = layout.codeword_reels(g);
             let m = layout.group_parity;
             let width = layout.parity_reel_frames(g);
 
@@ -253,22 +248,11 @@ impl Vault {
                 lost.is_empty() && group_reels.iter().all(|r| audits[r].damaged.is_empty());
             if undamaged {
                 let cap = layout.chunk_cap;
-                let streams: Vec<Vec<u8>> = members
-                    .iter()
-                    .map(|r| {
-                        let a = &audits[r];
-                        let mut s = Vec::with_capacity(width * cap);
-                        for p in &a.payloads {
-                            s.extend_from_slice(p.as_deref().expect("undamaged"));
-                        }
-                        s.resize(width * cap, 0);
-                        s
-                    })
-                    .collect();
-                let refs: Vec<&[u8]> = streams.iter().map(|s| s.as_slice()).collect();
-                let rs = RsCode::new(members.len() + m, members.len());
+                let recomputed = layout.group_parity_streams(g, |r, j| {
+                    audits[&r].payloads[j].as_deref().expect("undamaged")
+                });
                 let mut bad_offsets: Vec<usize> = Vec::new();
-                for (slot, want) in rs.parity_of(&refs).into_iter().enumerate() {
+                for (slot, want) in recomputed.into_iter().enumerate() {
                     let pr = parity[slot];
                     for j in 0..width {
                         let got = audits[&pr].payloads[j].as_deref().expect("undamaged");
@@ -349,7 +333,7 @@ impl Vault {
         let _span = self.system.telemetry.span("vault.repair");
         let scrub = self.scrub(bootstrap, reels)?;
         let manifest = bootstrap.vault.as_ref().expect("scrub validated");
-        let layout = self.layout_of(bootstrap, manifest);
+        let layout = self.layout_of(bootstrap, manifest)?;
         let mut out = RepairReport::default();
 
         if layout.parity_reels() == 0 {
@@ -432,10 +416,7 @@ impl Vault {
     /// Decode every frame of one reel against the exact header the
     /// layout says it must carry.
     fn audit_reel(&self, layout: &ReelLayout, reels: &ReelScans, r: usize) -> ReelAudit {
-        let expected = match layout.parity_role_of(r) {
-            Some((g, _)) => layout.parity_reel_frames(g),
-            None => layout.reel_frames(r),
-        };
+        let expected = layout.frames_on(r);
         let Some(scans) = reels[r].as_ref() else {
             return ReelAudit {
                 present: false,
@@ -457,17 +438,11 @@ impl Vault {
             };
         }
         let geom = self.system.medium.geometry;
-        let cap = layout.chunk_cap;
         let offsets: Vec<usize> = (0..expected).collect();
         let decoded: Vec<(Option<Vec<u8>>, usize)> =
             ule_par::map(self.system.threads, &offsets, |&j| {
-                let want = match layout.parity_role_of(r) {
-                    Some((g, _)) => layout.parity_frame_header(g, j),
-                    None => layout.frame_info(r * layout.reel_capacity + j).header,
-                };
                 match decode_emblem(&geom, &scans[j]) {
-                    Ok((h, mut payload, ds)) if h == want => {
-                        payload.resize(cap, 0);
+                    Ok((h, payload, ds)) if h == layout.header_at(r, j) => {
                         (Some(payload), ds.rs_corrected)
                     }
                     _ => (None, 0),

@@ -633,3 +633,67 @@ fn selective_restore_scans_a_fraction_of_the_shelf() {
         full.frames_decoded
     );
 }
+
+#[test]
+fn escalated_selective_read_rebuilds_the_rest_of_a_partly_rebuilt_reel() {
+    // A selective read rebuilds only the offsets of a lost reel that its
+    // chunks touch. When a blanked frame on the lost reel's sibling then
+    // exhausts the group's budget at one offset, the read escalates to
+    // the full scan, which must rebuild the lost reel's remaining
+    // offsets too — not take the reel for already rebuilt.
+    let v = vault();
+    let dump = dump();
+    let arc = v.archive(&dump);
+    let mut scans = v.scan_reels(&arc, 44);
+    let (lost, sibling) = (2, 3);
+    assert_eq!(arc.layout.group_of(lost), arc.layout.group_of(sibling));
+    let blank = FaultPlan::single(FrameBlankFault);
+    let frames = scans[sibling].as_mut().unwrap();
+    frames[0] = blank.apply(&frames[0..1], 1.0, 17)[0].clone();
+    scans[lost] = None;
+
+    let (bytes, stats) = v.restore_table(&arc.bootstrap, &scans, "lineitem").unwrap();
+    assert_eq!(stats.path, RestorePath::SelectiveFallback);
+    let e = arc.index.find("lineitem").unwrap();
+    let start = e.dump_start as usize;
+    assert_eq!(bytes, &dump[start..start + e.dump_len as usize]);
+    let (restored, _) = v.restore_all(&arc.bootstrap, &scans).unwrap();
+    assert_eq!(restored, dump);
+}
+
+/// Every manifest-driven reader on `shelf` refuses `bootstrap` with a
+/// structured shape error.
+fn assert_manifest_refused(v: &Vault, bootstrap: &Bootstrap, shelf: &ReelScans) {
+    let refused = |what: &str, r: Result<(), VaultError>| match r {
+        Err(VaultError::ShapeMismatch(_)) => {}
+        other => panic!("{what}: expected ShapeMismatch, got {other:?}"),
+    };
+    refused("restore_all", v.restore_all(bootstrap, shelf).map(|_| ()));
+    refused("list_tables", v.list_tables(bootstrap, shelf).map(|_| ()));
+    refused("scrub", v.scrub(bootstrap, shelf).map(|_| ()));
+}
+
+#[test]
+fn hostile_stream_length_in_the_manifest_is_a_shape_error() {
+    // A data stream of 2^50 bytes is no stream any encoder wrote (its
+    // emission index overflows 16 bits); sizing the frame map from it
+    // asked the allocator for terabytes and aborted the process.
+    let v = Vault::single_reel(MicrOlonys::test_tiny().with_threads(threads()));
+    let arc = v.archive(&dump());
+    let mut bootstrap = arc.bootstrap.clone();
+    bootstrap.vault.as_mut().unwrap().data_len = 1 << 50;
+    assert_manifest_refused(&v, &bootstrap, &vec![None]);
+}
+
+#[test]
+fn parity_group_wider_than_a_codeword_is_a_shape_error() {
+    // Two content reels plus 254 parity reels make a 256-symbol
+    // codeword, one past what RS over GF(2^8) can hold.
+    let v = vault();
+    let arc = v.archive(&dump());
+    let mut bootstrap = arc.bootstrap.clone();
+    bootstrap.vault.as_mut().unwrap().parity_reels = 254;
+    let mut shelf = v.scan_reels(&arc, 48);
+    shelf.resize(arc.layout.content_reels() + arc.layout.groups() * 254, None);
+    assert_manifest_refused(&v, &bootstrap, &shelf);
+}
