@@ -26,9 +26,10 @@ pub struct MicrOlonys {
     pub scheme: Scheme,
     /// Whether to add the outer RS(20,17) parity emblems.
     pub with_parity: bool,
-    /// Worker pool for every fanned-out stage of [`MicrOlonys::archive`],
-    /// [`MicrOlonys::restore_native`] and [`MicrOlonys::restore_frames`]
-    /// (per-emblem encode/decode, outer-code parity, frame rasterisation).
+    /// Worker pool for every fanned-out stage of [`MicrOlonys::archive`]
+    /// and [`MicrOlonys::restore_native`] (per-emblem encode/decode,
+    /// outer-code parity, frame rasterisation) and of the vault reads
+    /// layered on this system.
     /// Output is byte-identical at any setting — the on-medium format is
     /// frozen — so this only changes wall-clock time. Defaults to
     /// [`ThreadConfig::Serial`]. The emulated restore is an associated
@@ -36,8 +37,8 @@ pub struct MicrOlonys {
     /// fans MODecode out per frame the same way (`DESIGN.md` §9).
     pub threads: ThreadConfig,
     /// Pipeline telemetry that [`MicrOlonys::archive`],
-    /// [`MicrOlonys::restore_native`] and [`MicrOlonys::restore_frames`]
-    /// record spans and counters into. Defaults to [`Telemetry::off`],
+    /// [`MicrOlonys::restore_native`] and the vault reads layered on this
+    /// system record spans and counters into. Defaults to [`Telemetry::off`],
     /// whose every call is a null check; an enabled recorder only
     /// observes, so bytes and stats are identical either way.
     pub telemetry: Telemetry,

@@ -30,11 +30,9 @@ use ule_dynarisc::programs::modecode::ModecodeParams;
 use ule_dynarisc::programs::{dbdecode, modecode};
 use ule_dynarisc::{ThreadedImage, Vm, VmError};
 use ule_emblem::geometry::RS_K;
+use ule_emblem::header::HEADER_BYTES;
 use ule_emblem::stream::{Slot, StreamPlan};
-use ule_emblem::{
-    decode_stream, decode_stream_traced, record_decode_health, EmblemHeader, EmblemKind,
-    StreamError,
-};
+use ule_emblem::{decode_stream, decode_stream_traced, EmblemHeader, EmblemKind, StreamError};
 use ule_gf256::crc::crc32_update;
 use ule_obs::Telemetry;
 use ule_par::ThreadConfig;
@@ -126,7 +124,7 @@ pub struct RestoreStats {
     pub scans: usize,
     pub emblems_recovered: usize,
     /// Symbol positions fixed by the inner Reed–Solomon code across every
-    /// decoded frame, on the full native and the selective path alike.
+    /// decoded frame.
     pub rs_corrected: usize,
     /// Frame slots (data *and* parity) the outer code had to treat as
     /// erasures during recovery — the decode-health signal behind
@@ -240,61 +238,6 @@ impl MicrOlonys {
             .restore_native(data_scans)
     }
 
-    /// Selective-restore primitive (S16, `DESIGN.md` §11): decode *only*
-    /// the named scans — `(global emblem index, scan)` pairs, typically
-    /// the frames a vault content index maps a single table to — fanned
-    /// out across `self.threads`, and return one outcome per pick, in
-    /// input order: `Some(payload)` for every scan that decoded to its
-    /// expected global index, `None` for the rest.
-    ///
-    /// Unlike [`MicrOlonys::restore_native`] this does no outer-code
-    /// recovery (the caller chose exactly these frames; recovery would
-    /// need frames it deliberately did not scan). A scan that fails to
-    /// decode, or whose decoded header names a different global index
-    /// than the caller expected (a frame filed on the wrong spot of the
-    /// shelf), comes back `None`, so a caller that can rebuild the failed
-    /// frames keeps the good payloads and decodes only the rebuilt ones.
-    ///
-    /// Also returns the per-frame decode health: a [`RestoreStats`] whose
-    /// `rs_corrected` aggregates the inner-RS fixes of every frame that
-    /// came back `Some`. `self.telemetry` gets a `restore.selective` span,
-    /// the `selective.frames_*` counters, and the same decode-health
-    /// counters the stream decoder records
-    /// ([`ule_emblem::record_decode_health`]).
-    pub fn restore_frames(
-        &self,
-        scans: &[(usize, &GrayImage)],
-    ) -> (Vec<Option<Vec<u8>>>, RestoreStats) {
-        let tel = &self.telemetry;
-        let _span = tel.span("restore.selective");
-        let geom = self.medium.geometry;
-        let results = ule_par::map(self.threads, scans, |(_, scan)| {
-            ule_emblem::decode_emblem(&geom, scan)
-        });
-        record_decode_health(tel, &results);
-        let mut stats = RestoreStats {
-            scans: scans.len(),
-            ..Default::default()
-        };
-        let outcomes: Vec<Option<Vec<u8>>> = scans
-            .iter()
-            .zip(results)
-            .map(|(&(expect, _), r)| match r {
-                Ok((h, payload, ds)) if h.index as usize == expect => {
-                    stats.rs_corrected += ds.rs_corrected;
-                    stats.archive_bytes += payload.len();
-                    Some(payload)
-                }
-                _ => None,
-            })
-            .collect();
-        let decoded = outcomes.iter().flatten().count();
-        tel.add("selective.frames_requested", scans.len() as u64);
-        tel.add("selective.frames_decoded", decoded as u64);
-        tel.add("selective.frames_failed", (scans.len() - decoded) as u64);
-        (outcomes, stats)
-    }
-
     /// Verify that scanned system emblems really carry the DBDecode
     /// stream (a self-check the archiver can run before shipping media).
     pub fn verify_system_emblems(&self, system_scans: &[GrayImage]) -> Result<bool, RestoreError> {
@@ -389,16 +332,16 @@ impl MicrOlonys {
             }
             crc = crc32_update(crc, &out);
             // The emulated decoder's output is untrusted: a hostile scan
-            // can hand back fewer than 16 bytes, or a crafted header
-            // whose payload length reaches past the buffer.
+            // can hand back less than a header, or a crafted header whose
+            // payload length reaches past the buffer.
             let header = out
-                .get(..16)
+                .get(..HEADER_BYTES)
                 .ok_or(RestoreError::BadHeader(i))
                 .and_then(|h| {
                     EmblemHeader::from_bytes(h).map_err(|_| RestoreError::BadHeader(i))
                 })?;
             let payload = out
-                .get(16..16 + header.payload_len as usize)
+                .get(HEADER_BYTES..HEADER_BYTES + header.payload_len as usize)
                 .ok_or(RestoreError::BadHeader(i))?
                 .to_vec();
             decoded.push((header, payload));
@@ -695,55 +638,6 @@ mod tests {
             Err(RestoreError::Archive(ArchiveError::Corrupt(_))) => {}
             other => panic!("expected Corrupt, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn restore_frames_decodes_only_the_named_scans() {
-        let sys = MicrOlonys::test_tiny();
-        let dump: Vec<u8> = (0..4000u64)
-            .flat_map(|i| format!("{}\n", i.wrapping_mul(0x9E37_79B9) % 1_000_000_007).into_bytes())
-            .collect();
-        let out = sys.archive(&dump);
-        assert!(out.stats.data_emblems > 5, "want indices 1/4/2 on data");
-        let scans = sys.medium.scan_all(&out.data_frames, 19);
-        // Emission order == global index order, so frame i carries index i.
-        let picks: Vec<(usize, &ule_raster::GrayImage)> =
-            [1usize, 4, 2].iter().map(|&i| (i, &scans[i])).collect();
-        let (got, stats) = sys.restore_frames(&picks);
-        assert_eq!(got.len(), 3, "one outcome per pick, in input order");
-        assert_eq!(stats.scans, 3);
-        // Payloads must match the full-restore bytes chunk for chunk.
-        let cap = sys.medium.geometry.payload_capacity();
-        let archive = ule_compress::compress(sys.scheme, &dump);
-        for (&(idx, _), payload) in picks.iter().zip(&got) {
-            let payload = payload.as_ref().expect("named scan decodes");
-            // Indices 1/4/2 sit in group 0's data range: chunk == index.
-            let start = idx * cap;
-            assert_eq!(payload.as_slice(), &archive[start..start + payload.len()]);
-        }
-    }
-
-    #[test]
-    fn restore_frames_names_misfiled_and_undecodable_scans() {
-        let sys = MicrOlonys::test_tiny();
-        let dump = b"COPY t (a) FROM stdin;\n1\n2\n\\.\n".repeat(40);
-        let out = sys.archive(&dump);
-        let scans = sys.medium.scan_all(&out.data_frames, 23);
-        let blank = ule_raster::GrayImage::new(scans[0].width(), scans[0].height(), 255);
-        // Scan 2 handed in under index 1 (misfiled), a blank under 3.
-        let picks: Vec<(usize, &ule_raster::GrayImage)> =
-            vec![(0, &scans[0]), (1, &scans[2]), (3, &blank)];
-        let sys = sys.with_telemetry(ule_obs::Telemetry::enabled());
-        let (got, _) = sys.restore_frames(&picks);
-        assert!(got[0].is_some());
-        assert_eq!(got[1], None, "misfiled scan");
-        assert_eq!(got[2], None, "undecodable scan");
-        // The misfiled scan decodes cleanly, so only the blank is a
-        // decode failure; both count as failed picks.
-        let tel = &sys.telemetry;
-        assert_eq!(tel.counter("decode.frames_total"), 3);
-        assert_eq!(tel.counter("decode.frames_failed"), 1);
-        assert_eq!(tel.counter("selective.frames_failed"), 2);
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub use encode::{encode_emblem, inner_encode};
 pub use geometry::EmblemGeometry;
 pub use header::{EmblemHeader, EmblemKind};
 pub use stream::{
-    decode_stream, decode_stream_traced, encode_stream, encode_stream_traced, record_decode_health,
+    decode_frames, decode_stream, decode_stream_traced, encode_stream, encode_stream_traced,
     StreamError,
 };
 pub use ule_par::ThreadConfig;

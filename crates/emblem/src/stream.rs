@@ -12,7 +12,9 @@
 //! [`StreamPlan`] is the only code that knows how payload chunks map to
 //! emission slots and headers: the encoder stamps [`StreamPlan::header`],
 //! the native decoder here, the emulated assembler in `micr_olonys` and
-//! the vault's reel layout all place or derive frames through it.
+//! the vault's reel layout all place or derive frames through it, and
+//! [`StreamPlan::assemble`] is the one outer-code recovery behind both
+//! the native decoder and the vault's whole-stream reads.
 
 use crate::decode::{decode_emblem, DecodeError, DecodeStats};
 use crate::encode::encode_emblem;
@@ -290,25 +292,36 @@ pub fn render_emissions(
     })
 }
 
-/// Add one batch of [`decode_emblem`] outcomes to the decode-health
-/// counters: `decode.frames_total`, `decode.frames_failed` (an `Err`),
-/// `decode.clean_frames`,
-/// `decode.frames_corrected`, `decode.corrected_symbols`,
-/// `decode.sync_errors` and `decode.header_retries`. The stream decoder
-/// and the selective restore both record through here, so every decode
-/// path reports the same set and `clean_frames + frames_corrected +
-/// frames_failed == frames_total` holds on any trace.
-pub fn record_decode_health(
+/// A decoded emblem: its header, payload and decode stats.
+pub type Decoded = (EmblemHeader, Vec<u8>, DecodeStats);
+
+/// The per-frame half of every stream decoder: each scan through
+/// [`decode_emblem`], fanned out across `threads` workers, one outcome
+/// per scan in input order. With telemetry on, each scan gets a
+/// `scan.decode.frame` span in its own recorder shard (merged back in
+/// input order, so scheduling never reorders the trace) and the batch
+/// lands on the `decode.*` health counters, where `clean_frames +
+/// frames_corrected + frames_failed == frames_total` on any trace.
+/// `scans` may hold images or borrows of them (`&[&GrayImage]`).
+pub fn decode_frames<S: Borrow<GrayImage> + Sync>(
+    geom: &EmblemGeometry,
+    scans: &[S],
+    threads: ThreadConfig,
     tel: &Telemetry,
-    frames: &[Result<(EmblemHeader, Vec<u8>, DecodeStats), DecodeError>],
-) {
+) -> Vec<Result<Decoded, DecodeError>> {
     if !tel.is_enabled() {
-        return;
+        return ule_par::map(threads, scans, |scan| decode_emblem(geom, scan.borrow()));
     }
-    let (mut total, mut failed, mut clean, mut corrected) = (0u64, 0u64, 0u64, 0u64);
+    let shards = tel.fork(scans.len());
+    let jobs: Vec<(&S, Telemetry)> = scans.iter().zip(shards.iter().cloned()).collect();
+    let results = ule_par::map(threads, &jobs, |(scan, shard)| {
+        let _frame = shard.span("scan.decode.frame");
+        decode_emblem(geom, (*scan).borrow())
+    });
+    tel.absorb(shards);
+    let (mut failed, mut clean, mut corrected) = (0u64, 0u64, 0u64);
     let (mut symbols, mut sync_errors, mut retries) = (0u64, 0u64, 0u64);
-    for frame in frames {
-        total += 1;
+    for frame in &results {
         let Ok((_, _, s)) = frame else {
             failed += 1;
             continue;
@@ -322,7 +335,7 @@ pub fn record_decode_health(
         sync_errors += s.sync_errors as u64;
         retries += u64::from(s.header_copy_used > 0);
     }
-    tel.add("decode.frames_total", total);
+    tel.add("decode.frames_total", results.len() as u64);
     tel.add("decode.frames_failed", failed);
     tel.add("decode.clean_frames", clean);
     tel.add("decode.corrected_symbols", symbols);
@@ -333,6 +346,7 @@ pub fn record_decode_health(
     if retries > 0 {
         tel.add("decode.header_retries", retries);
     }
+    results
 }
 
 /// Stream-level decode failures.
@@ -415,56 +429,27 @@ pub fn decode_stream(
     decode_stream_traced(geom, scans, ThreadConfig::Serial, &Telemetry::off())
 }
 
-/// [`decode_stream`] with the per-scan pipeline (locate border → resample
-/// grid → inner RS errors correction) fanned out across `threads` workers,
-/// plus decode-health telemetry: a per-frame span (recorded into one shard
-/// per scan, merged in input order after the join — worker scheduling can
-/// never reorder the trace), the [`record_decode_health`] counters, and
-/// outer-code erasure counters.
+/// [`decode_stream`] with the per-scan pipeline fanned out across
+/// `threads` workers, plus telemetry: [`decode_frames`] decodes every
+/// scan, the stream's layout is inferred from the decoded headers, each
+/// payload is placed at the slot its header names, and
+/// [`StreamPlan::assemble`] runs the outer code.
 ///
 /// The outer-code erasure recovery and reassembly run after the join and
 /// consume per-scan results in input order, so payload bytes and
 /// [`StreamStats`] are identical to the serial path at any thread count.
-/// The recorder only observes, and a disabled handle skips the sharded
-/// fan-out entirely. `scans` may hold images or borrows of them
-/// (`&[&GrayImage]`), so a caller decoding frames it does not own never
-/// copies one.
+/// The recorder only observes. `scans` may hold images or borrows of
+/// them (`&[&GrayImage]`).
 pub fn decode_stream_traced<S: Borrow<GrayImage> + Sync>(
     geom: &EmblemGeometry,
     scans: &[S],
     threads: ThreadConfig,
     tel: &Telemetry,
 ) -> Result<(Vec<u8>, StreamStats), StreamError> {
-    let mut stats = StreamStats {
-        scans: scans.len(),
-        ..Default::default()
-    };
     // Individual decode; tolerate per-scan failures (the outer code's job).
-    // With telemetry on, each scan gets its own recorder shard (worker
-    // writes stay item-local) and the shards merge back in input order.
-    let results = if tel.is_enabled() {
-        let shards = tel.fork(scans.len());
-        let jobs: Vec<(&S, Telemetry)> = scans.iter().zip(shards.iter().cloned()).collect();
-        let results = ule_par::map(threads, &jobs, |(scan, shard)| {
-            let _frame = shard.span("scan.decode.frame");
-            decode_emblem(geom, (*scan).borrow())
-        });
-        tel.absorb(shards);
-        results
-    } else {
-        ule_par::map(threads, scans, |scan| decode_emblem(geom, scan.borrow()))
-    };
-    record_decode_health(tel, &results);
-    let mut decoded: Vec<(EmblemHeader, Vec<u8>, DecodeStats)> = Vec::new();
-    for r in results {
-        match r {
-            Ok(r) => {
-                stats.rs_corrected += r.2.rs_corrected;
-                decoded.push(r);
-            }
-            Err(_) => stats.failed_scans += 1,
-        }
-    }
+    let results = decode_frames(geom, scans, threads, tel);
+    let failed = results.iter().filter(|r| r.is_err()).count();
+    let decoded: Vec<Decoded> = results.into_iter().flatten().collect();
     if decoded.is_empty() {
         return Err(StreamError::NoEmblems);
     }
@@ -479,8 +464,8 @@ pub fn decode_stream_traced<S: Borrow<GrayImage> + Sync>(
     // slots even when every parity frame was lost. The two-sided check
     // matters: a damaged-but-checksum-colliding header with an arbitrary
     // out-of-range index must not flip an intact dense stream into the
-    // parity layout (it has no slot under either and is counted as a
-    // failed scan below). Residual blind spot: a stream that lost all its
+    // parity layout (it has no slot under either and `assemble` counts it
+    // as a failed scan). Residual blind spot: a stream that lost all its
     // parity frames and every layout-disambiguating data emblem looks
     // parity-less; group-0 emblems never disambiguate (both layouts agree
     // there). Mis-inference can only misreport FrameLoss details or fail
@@ -499,98 +484,119 @@ pub fn decode_stream_traced<S: Borrow<GrayImage> + Sync>(
             || (outer.as_ref().is_ok_and(|p| p.slot_of(h).is_some()) && dense.slot_of(h).is_none())
     });
     let plan = if had_parity { outer? } else { dense };
+    let (out, placed) = plan.assemble(decoded, tel)?;
+    let stats = StreamStats {
+        scans: scans.len(),
+        failed_scans: failed + placed.failed_scans,
+        ..placed
+    };
+    Ok((out, stats))
+}
 
-    // Place every scan in its slot; first copy wins. A header naming no
-    // slot of this layout counts as a failed scan instead of clobbering a
-    // slot whose genuine emblem would then be dropped as a duplicate.
-    let mut chunks: Vec<Option<Vec<u8>>> = vec![None; plan.data_emblems];
-    let mut parity: Vec<Vec<Option<Vec<u8>>>> = vec![vec![None; GROUP_PARITY]; plan.groups()];
-    for (h, payload, _) in decoded {
-        match plan.slot_of(&h) {
-            Some(Slot::Data(c)) => {
-                chunks[c].get_or_insert(payload);
-            }
-            Some(Slot::Parity { group, pos }) => {
-                parity[group][pos].get_or_insert(payload);
-            }
-            None => stats.failed_scans += 1,
+impl StreamPlan {
+    /// The placement-and-outer-code half of the stream decoder: each
+    /// decoded payload lands at the slot its header names (first copy
+    /// wins; a header naming no slot of this layout is a failed scan, so
+    /// it cannot clobber a genuine slot), then each group's missing
+    /// chunks come back through the outer code. The returned
+    /// [`StreamStats`] leaves `scans` to the caller and counts only the
+    /// given frames: their inner-RS corrections, the unplaced ones as
+    /// failed scans, and the outer code's work.
+    pub fn assemble(
+        &self,
+        frames: impl IntoIterator<Item = Decoded>,
+        tel: &Telemetry,
+    ) -> Result<(Vec<u8>, StreamStats), StreamError> {
+        let mut stats = StreamStats::default();
+        let mut chunks: Vec<Option<Vec<u8>>> = vec![None; self.data_emblems];
+        let mut parity: Vec<Vec<Option<Vec<u8>>>> = vec![vec![None; GROUP_PARITY]; self.groups()];
+        for (h, payload, ds) in frames {
+            stats.rs_corrected += ds.rs_corrected;
+            match self.slot_of(&h) {
+                Some(Slot::Data(c)) => chunks[c].get_or_insert(payload),
+                Some(Slot::Parity { group, pos }) => parity[group][pos].get_or_insert(payload),
+                None => {
+                    stats.failed_scans += 1;
+                    continue;
+                }
+            };
         }
-    }
 
-    // Per-group erasure recovery.
-    for (group, group_parity) in parity.iter().enumerate() {
-        let members = plan.group_chunks(group);
-        let (base, in_group) = (members.start, members.len());
-        let missing: Vec<usize> = (0..in_group)
-            .filter(|&i| chunks[base + i].is_none())
-            .collect();
-        if missing.is_empty() {
-            continue;
-        }
-        let parity_avail = group_parity.iter().filter(|p| p.is_some()).count();
-        let missing_parity = GROUP_PARITY - parity_avail;
-        if missing.len() + missing_parity > GROUP_PARITY {
-            // Name the absent frames by their global emblem indices. A
-            // stream encoded without parity counts only its data emblems
-            // as expected — the three "missing" parity slots are not lost
-            // frames, they never existed.
-            let mut absent: Vec<u16> = missing
-                .iter()
-                .map(|&i| plan.emission_of(Slot::Data(base + i)) as u16)
+        // Per-group erasure recovery.
+        for (group, group_parity) in parity.iter().enumerate() {
+            let members = self.group_chunks(group);
+            let (base, in_group) = (members.start, members.len());
+            let missing: Vec<usize> = (0..in_group)
+                .filter(|&i| chunks[base + i].is_none())
                 .collect();
-            let mut expected = in_group;
-            if had_parity {
-                expected += GROUP_PARITY;
-                for (pos, p) in group_parity.iter().enumerate() {
-                    if p.is_none() {
-                        absent.push(plan.emission_of(Slot::Parity { group, pos }) as u16);
+            if missing.is_empty() {
+                continue;
+            }
+            let parity_avail = group_parity.iter().filter(|p| p.is_some()).count();
+            let missing_parity = GROUP_PARITY - parity_avail;
+            if missing.len() + missing_parity > GROUP_PARITY {
+                // Name the absent frames by their global emblem indices.
+                // A stream encoded without parity counts only its data
+                // emblems as expected — the three "missing" parity slots
+                // are not lost frames, they never existed.
+                let mut absent: Vec<u16> = missing
+                    .iter()
+                    .map(|&i| self.emission_of(Slot::Data(base + i)) as u16)
+                    .collect();
+                let mut expected = in_group;
+                if self.with_parity() {
+                    expected += GROUP_PARITY;
+                    for (pos, p) in group_parity.iter().enumerate() {
+                        if p.is_none() {
+                            absent.push(self.emission_of(Slot::Parity { group, pos }) as u16);
+                        }
                     }
                 }
+                return Err(StreamError::FrameLoss {
+                    group: group as u16,
+                    expected,
+                    found: expected - absent.len(),
+                    missing: absent,
+                });
             }
-            return Err(StreamError::FrameLoss {
-                group: group as u16,
-                expected,
-                found: expected - absent.len(),
-                missing: absent,
-            });
+            // The group's codeword streams: data chunks, then parity.
+            let streams: Vec<Option<&[u8]>> = chunks[members]
+                .iter()
+                .chain(group_parity)
+                .map(Option::as_deref)
+                .collect();
+            let erased = streams.iter().filter(|s| s.is_none()).count();
+            stats.erasure_frames += erased;
+            let _recovery = tel.span("scan.decode.outer_recovery");
+            let (solved, outer_corrected) = RsCode::new(in_group + GROUP_PARITY, in_group)
+                .recover(&streams, self.chunk_size)
+                .map_err(|_| StreamError::TooManyMissing {
+                    group: group as u16,
+                    missing: erased,
+                    correctable: GROUP_PARITY,
+                })?;
+            tel.add("decode.erasure_frames", erased as u64);
+            tel.add("decode.outer_corrected_symbols", outer_corrected as u64);
+            // Erased data chunks come first in `solved`; trim each to its
+            // logical length (only the stream's final chunk is short).
+            for (m, mut c) in missing.into_iter().zip(solved) {
+                let chunk_no = base + m;
+                c.truncate(self.chunk_range(chunk_no).len());
+                chunks[chunk_no] = Some(c);
+                stats.emblems_recovered += 1;
+            }
         }
-        // The group's codeword streams: data chunks, then parity.
-        let streams: Vec<Option<&[u8]>> = chunks[members]
-            .iter()
-            .chain(group_parity)
-            .map(Option::as_deref)
-            .collect();
-        let erased = streams.iter().filter(|s| s.is_none()).count();
-        stats.erasure_frames += erased;
-        let _recovery = tel.span("scan.decode.outer_recovery");
-        let (solved, outer_corrected) = RsCode::new(in_group + GROUP_PARITY, in_group)
-            .recover(&streams, cap)
-            .map_err(|_| StreamError::TooManyMissing {
-                group: group as u16,
-                missing: erased,
-                correctable: GROUP_PARITY,
-            })?;
-        tel.add("decode.erasure_frames", erased as u64);
-        tel.add("decode.outer_corrected_symbols", outer_corrected as u64);
-        // Erased data chunks come first in `solved`; trim each to its
-        // logical length (only the stream's final chunk is short).
-        for (m, mut c) in missing.into_iter().zip(solved) {
-            let chunk_no = base + m;
-            c.truncate(plan.chunk_range(chunk_no).len());
-            chunks[chunk_no] = Some(c);
-            stats.emblems_recovered += 1;
+
+        tel.add("decode.emblems_recovered", stats.emblems_recovered as u64);
+
+        // Concatenate.
+        let mut out = Vec::with_capacity(self.total_len);
+        for c in chunks {
+            out.extend_from_slice(&c.expect("all chunks present after recovery"));
         }
+        out.truncate(self.total_len);
+        Ok((out, stats))
     }
-
-    tel.add("decode.emblems_recovered", stats.emblems_recovered as u64);
-
-    // Concatenate.
-    let mut out = Vec::with_capacity(total_len as usize);
-    for c in chunks {
-        out.extend_from_slice(&c.expect("all chunks present after recovery"));
-    }
-    out.truncate(total_len as usize);
-    Ok((out, stats))
 }
 
 /// CRC-32 fingerprint of an image sequence (order-sensitive): the

@@ -4,9 +4,9 @@
 //! is not coverage-guided search (there is no instrumentation offline) but
 //! a dense sweep of the corruption classes analog media and hostile
 //! curators actually produce — truncated tails, spliced regions, flipped
-//! bits, lying length fields — applied to *structurally valid* corpus
-//! inputs so mutants reach deep parser states instead of dying on the
-//! magic check.
+//! bits, lying length fields (binary or decimal) — applied to
+//! *structurally valid* corpus inputs so mutants reach deep parser states
+//! instead of dying on the magic check.
 
 use ule_raster::rng::SplitMix64;
 
@@ -64,7 +64,7 @@ impl Mutator {
             buf.extend((0..1 + self.below(MAX_INSERT)).map(|_| self.rng.next_u64() as u8));
             return;
         }
-        match self.below(8) {
+        match self.below(9) {
             // Bit flip.
             0 => {
                 let i = self.below(buf.len());
@@ -117,6 +117,18 @@ impl Mutator {
                     buf[at..at + width].copy_from_slice(&v.to_le_bytes()[..width]);
                 }
             }
+            // Corrupt a decimal count: replace a run of ASCII digits with
+            // an extreme number — the length-field attack on text
+            // formats (catalog counts and ranges, manifest lines).
+            7 => {
+                let runs = digit_runs(buf);
+                if !runs.is_empty() {
+                    let (start, end) = runs[self.below(runs.len())];
+                    const EXTREME: [u64; 4] = [0, 1 << 32, 1_000_000_000_000, u64::MAX];
+                    let v = EXTREME[self.below(EXTREME.len())];
+                    buf.splice(start..end, v.to_string().into_bytes());
+                }
+            }
             // Zero a span (simulates a blanked region of medium).
             _ => {
                 let len = 1 + self.below(buf.len().min(MAX_INSERT));
@@ -125,6 +137,26 @@ impl Mutator {
             }
         }
     }
+}
+
+/// `(start, end)` of every maximal run of ASCII digits in `buf`.
+fn digit_runs(buf: &[u8]) -> Vec<(usize, usize)> {
+    let mut runs = Vec::new();
+    let mut start = None;
+    for (i, b) in buf.iter().enumerate() {
+        match (b.is_ascii_digit(), start) {
+            (true, None) => start = Some(i),
+            (false, Some(s)) => {
+                runs.push((s, i));
+                start = None;
+            }
+            _ => {}
+        }
+    }
+    if let Some(s) = start {
+        runs.push((s, buf.len()));
+    }
+    runs
 }
 
 #[cfg(test)]
@@ -143,6 +175,29 @@ mod tests {
             (0..50).map(|_| m.mutate(&base, None)).collect()
         };
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn decimal_counts_are_rewritten_to_extremes_deterministically() {
+        let base = b"segments: 2\nchunk: 512\n".to_vec();
+        let run = |seed| {
+            let mut m = Mutator::new(seed);
+            (0..2000)
+                .map(|_| {
+                    let mut buf = base.clone();
+                    m.mutate_once(&mut buf);
+                    buf
+                })
+                .collect::<Vec<_>>()
+        };
+        let mutants = run(5);
+        assert_eq!(mutants, run(5), "deterministic for a seed");
+        for extreme in ["0", "4294967296", "1000000000000", "18446744073709551615"] {
+            for line in ["segments: {}\nchunk: 512\n", "segments: 2\nchunk: {}\n"] {
+                let want = line.replace("{}", extreme).into_bytes();
+                assert!(mutants.contains(&want), "never produced {want:?}");
+            }
+        }
     }
 
     #[test]

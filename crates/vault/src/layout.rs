@@ -16,7 +16,8 @@
 //! geometry, the layout names the exact [`EmblemHeader`] of any frame
 //! position without decoding it — [`StreamPlan::header`], the one the
 //! encoder stamps — which is what lets a lost reel's frames be re-encoded
-//! bit-for-bit from cross-reel parity.
+//! bit-for-bit from cross-reel parity, and what every vault reader holds
+//! a decoded frame against before using it.
 
 use crate::VaultError;
 use micr_olonys::VaultManifest;
@@ -52,6 +53,30 @@ pub struct FrameInfo {
     pub emission: usize,
     /// The exact header the emblem at this position carries.
     pub header: EmblemHeader,
+}
+
+/// The header a decoded shelf frame must carry to count where it is
+/// read — the vault's one frame verdict; any other header is a failed
+/// scan.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Stamp<'a> {
+    /// A positional read at `(reel, offset)`: exactly `header_at` there.
+    At(EmblemHeader),
+    /// An order-tolerant whole-stream read: the header `plan` stamps on
+    /// the emission the frame's own header names.
+    Stream(&'a StreamPlan, EmblemKind),
+}
+
+impl Stamp<'_> {
+    pub(crate) fn admits(&self, h: &EmblemHeader) -> bool {
+        match *self {
+            Stamp::At(stamped) => *h == stamped,
+            Stamp::Stream(plan, kind) => {
+                let emission = h.index as usize;
+                emission < plan.total_emblems() && *h == plan.header(kind, emission)
+            }
+        }
+    }
 }
 
 /// The frozen reel layout (see module docs).

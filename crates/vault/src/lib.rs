@@ -11,10 +11,9 @@
 //!    chunk/frame range` is written on the medium as its own emblem
 //!    stream ([`ule_emblem::EmblemKind::Index`]);
 //! 2. **selective restore** — [`Vault::restore_table`] decodes only the
-//!    frames the index names (via [`MicrOlonys::restore_frames`],
-//!    fanned over `ule_par`) and returns bytes identical to the
-//!    corresponding slice of a full restore. A damaged index degrades to
-//!    the full-scan path, never to wrong bytes;
+//!    frames the index names (fanned over `ule_par`) and returns bytes
+//!    identical to the corresponding slice of a full restore. A damaged
+//!    index degrades to the full-scan path, never to wrong bytes;
 //! 3. **multi-reel sharding with cross-reel parity** — the frame
 //!    sequence is split into reels of `reel_capacity` frames, and every
 //!    group of `data_reels` content reels gets `parity_reels` RS parity
@@ -38,6 +37,11 @@
 //! and [`Vault::query_table`] reconstruct only the frames they need from
 //! surviving group columns instead of bailing to a full scan.
 //!
+//! Every reader (selective, whole-stream, reel rebuild, scrub) accepts a
+//! decoded frame only under the header the manifest's [`ReelLayout`]
+//! stamps where it is read: a misfiled or spliced-in frame is one more
+//! failed scan, never a stream-wide error or a rebuild source column.
+//!
 //! Verification sweeps over intact shelves ride the same kernel layer
 //! twice more: every catalog and segment check is the sliced
 //! [`ule_gf256::crc32`], and every clean frame decodes through the
@@ -60,14 +64,12 @@ pub use scrub::{GroupScrub, ReelHealth, ReelScrub, RepairReport, ScrubReport};
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 use catalog::{ContentIndex, IndexEntry, IndexError, ZoneInfo};
-use layout::{ReelLayout, StreamId};
+use layout::{ReelLayout, Stamp, StreamId};
 use micr_olonys::{Bootstrap, MicrOlonys, RestoreError, VaultManifest};
 use segment::{segment_dump, Segment};
 use ule_compress::ArchiveError;
-use ule_emblem::stream::{chunk_global_index, render_emissions, stream_emissions, StreamError};
-use ule_emblem::{
-    decode_emblem, decode_stream_traced, encode_emblem, encode_stream_traced, EmblemKind,
-};
+use ule_emblem::stream::{render_emissions, stream_emissions, Decoded, StreamError};
+use ule_emblem::{decode_frames, encode_emblem, encode_stream_traced, EmblemHeader, EmblemKind};
 use ule_gf256::crc::{crc32, crc32_update};
 use ule_obs::Telemetry;
 use ule_raster::GrayImage;
@@ -663,7 +665,7 @@ impl Vault {
             stats.erasure_frames = r.erasure_frames;
             return Ok((dump, stats));
         };
-        let layout = self.layout_of(bootstrap, manifest)?;
+        let layout = self.shelf_layout(bootstrap, manifest, reels)?;
         let mut stats = VaultRestoreStats::new(RestorePath::Full, layout.data_frames());
         let mut source = FrameSource::new(layout, reels)?;
         let dump = self.full_restore(&mut source, &mut stats)?;
@@ -746,7 +748,7 @@ impl Vault {
             let (dump, stats) = self.restore_all(bootstrap, reels)?;
             return Ok((Catalog::Dump(dump), stats));
         };
-        let layout = self.layout_of(bootstrap, manifest)?;
+        let layout = self.shelf_layout(bootstrap, manifest, reels)?;
         let mut stats = VaultRestoreStats::new(RestorePath::Selective, layout.data_frames());
         let mut source = FrameSource::new(layout, reels)?;
         match self.read_index(manifest, &mut source, &mut stats) {
@@ -892,16 +894,47 @@ impl Vault {
         })
     }
 
-    fn layout_of(
+    /// The manifest's reel layout, checked against the number of reels
+    /// the shelf holds.
+    fn shelf_layout(
         &self,
         bootstrap: &Bootstrap,
         manifest: &VaultManifest,
+        reels: &ReelScans,
     ) -> Result<ReelLayout, VaultError> {
-        ReelLayout::from_manifest(
+        let layout = ReelLayout::from_manifest(
             manifest,
             bootstrap.geometry().payload_capacity(),
             bootstrap.outer_parity,
-        )
+        )?;
+        if reels.len() != layout.total_reels() {
+            return Err(VaultError::ShapeMismatch(format!(
+                "manifest describes {} reels, shelf holds {}",
+                layout.total_reels(),
+                reels.len()
+            )));
+        }
+        Ok(layout)
+    }
+
+    /// The vault's one frame verdict: every frame a vault reader uses —
+    /// selective chunks, whole-stream reads, rebuild source columns,
+    /// scrub — is decoded here ([`decode_frames`], fanned over `ule_par`,
+    /// recording into `tel`) and accepted only under its [`Stamp`]. One
+    /// verdict per frame, in input order; `None` for a frame that does
+    /// not decode or decodes to any other header.
+    fn frame_verdicts(
+        &self,
+        frames: &[(&GrayImage, Stamp)],
+        tel: &Telemetry,
+    ) -> Vec<Option<Decoded>> {
+        let scans: Vec<&GrayImage> = frames.iter().map(|&(scan, _)| scan).collect();
+        let geom = &self.system.medium.geometry;
+        decode_frames(geom, &scans, self.system.threads, tel)
+            .into_iter()
+            .zip(frames)
+            .map(|(decoded, (_, stamp))| decoded.ok().filter(|(h, _, _)| stamp.admits(h)))
+            .collect()
     }
 
     /// Decode and verify the content index stream.
@@ -924,8 +957,9 @@ impl Vault {
     }
 
     /// Decode every frame of content stream `stream` as one emblem stream
-    /// (outer-code recovery included), rebuilding lost reels first. The
-    /// scans are borrowed from the shelf, never copied.
+    /// (outer-code recovery included), rebuilding lost reels first; a
+    /// frame counts at the slot its own header names (order-tolerant).
+    /// The scans are borrowed from the shelf, never copied.
     fn decode_whole_stream(
         &self,
         stream: StreamId,
@@ -934,20 +968,22 @@ impl Vault {
         stats: &mut VaultRestoreStats,
     ) -> Result<Vec<u8>, VaultError> {
         let layout = source.layout;
-        let positions: Vec<usize> = (0..layout.plan(stream).total_emblems())
+        let plan = layout.plan(stream);
+        let positions: Vec<usize> = (0..plan.total_emblems())
             .map(|q| layout.position(stream, q))
             .collect();
         let lost = source.lost_reel_frames(&positions);
         source.rebuild(self, &lost, stats)?;
-        let scans: Vec<&GrayImage> = positions.iter().map(|&p| source.get(p)).collect();
-        stats.frames_decoded += scans.len();
-        let _span = self.system.telemetry.span(span);
-        let (bytes, s) = decode_stream_traced(
-            &self.system.medium.geometry,
-            &scans,
-            self.system.threads,
-            &self.system.telemetry,
-        )?;
+        stats.frames_decoded += positions.len();
+        let tel = &self.system.telemetry;
+        let _span = tel.span(span);
+        let stamp = Stamp::Stream(&plan, stream.kind());
+        let frames: Vec<_> = positions
+            .iter()
+            .map(|&p| (source.get(layout.reel_of(p)), stamp))
+            .collect();
+        let accepted = self.frame_verdicts(&frames, tel).into_iter().flatten();
+        let (bytes, s) = plan.assemble(accepted, tel)?;
         stats.corrected_symbols += s.rs_corrected;
         stats.erasure_frames += s.erasure_frames;
         Ok(bytes)
@@ -959,9 +995,9 @@ impl Vault {
     ///
     /// This is the degraded-mode read path: frames on lost reels are
     /// rebuilt *per offset* — only the frames this read touches, never
-    /// the whole reel — and a frame that no longer decodes on a present
-    /// reel is rebuilt from its parity group's surviving columns and
-    /// retried once before the caller escalates to the full scan. The
+    /// the whole reel — and a frame on a present reel that no longer
+    /// decodes to the header stamped at its position is rebuilt from its
+    /// parity group's surviving columns and retried once before the caller escalates to the full scan. The
     /// retry decodes only the rebuilt frames; the first attempt's good
     /// payloads are kept.
     fn decode_chunks(
@@ -971,13 +1007,9 @@ impl Vault {
         stats: &mut VaultRestoreStats,
     ) -> Result<HashMap<usize, Vec<u8>>, VaultError> {
         let layout = source.layout;
-        let positions: Vec<usize> = chunks
+        let located = chunks
             .iter()
-            .map(|&c| layout.chunk_position(StreamId::Data, c))
-            .collect();
-        let located = positions
-            .iter()
-            .map(|&pos| source.locate(pos))
+            .map(|&c| source.locate(layout.chunk_position(StreamId::Data, c)))
             .collect::<Result<Vec<_>, _>>()?;
         let lost: Vec<(usize, usize)> = located
             .iter()
@@ -985,22 +1017,35 @@ impl Vault {
             .filter(|&(r, _)| source.reels[r].is_none())
             .collect();
         source.rebuild(self, &lost, stats)?;
-        let expects: Vec<usize> = chunks
+        let stamps: Vec<EmblemHeader> = located
             .iter()
-            .map(|&c| chunk_global_index(c, layout.outer_parity))
+            .map(|&(r, j)| layout.header_at(r, j))
             .collect();
-        stats.frames_decoded += positions.len();
+        stats.frames_decoded += chunks.len();
         // Decode the frames at `picks` (indices into `chunks`): one
         // payload per pick, `None` where it failed to decode or decoded
-        // to the wrong emission.
+        // to any header but the one stamped at its position.
         let mut corrected = 0usize;
         let mut decode = |source: &FrameSource<'_>, picks: &[usize]| {
-            let scans: Vec<(usize, &GrayImage)> = picks
+            let tel = &self.system.telemetry;
+            let _span = tel.span("restore.selective");
+            let frames: Vec<_> = picks
                 .iter()
-                .map(|&i| (expects[i], source.get(positions[i])))
+                .map(|&i| (source.get(located[i]), Stamp::At(stamps[i])))
                 .collect();
-            let (payloads, r) = self.system.restore_frames(&scans);
-            corrected += r.rs_corrected;
+            let payloads: Vec<Option<Vec<u8>>> = self
+                .frame_verdicts(&frames, tel)
+                .into_iter()
+                .map(|v| {
+                    let (_, payload, ds) = v?;
+                    corrected += ds.rs_corrected;
+                    Some(payload)
+                })
+                .collect();
+            let decoded = payloads.iter().flatten().count();
+            tel.add("selective.frames_requested", picks.len() as u64);
+            tel.add("selective.frames_decoded", decoded as u64);
+            tel.add("selective.frames_failed", (picks.len() - decoded) as u64);
             payloads
         };
         let all: Vec<usize> = (0..chunks.len()).collect();
@@ -1018,7 +1063,7 @@ impl Vault {
         let missing: Vec<usize> = bad
             .into_iter()
             .filter(|&i| payloads[i].is_none())
-            .map(|i| expects[i])
+            .map(|i| stamps[i].index as usize)
             .collect();
         if !missing.is_empty() {
             return Err(RestoreError::FrameLoss {
@@ -1062,7 +1107,8 @@ impl Vault {
     ///
     /// Requested frames are never trusted as source columns — they are
     /// erasures by definition (lost reel, or a damaged frame the caller
-    /// could not decode). Physically lost reels beyond the group's `m`
+    /// could not decode), and neither is a misfiled sibling (any header
+    /// but its `header_at` one). Physically lost reels beyond the group's `m`
     /// parity budget fail up front as the structured
     /// [`VaultError::ReelLoss`] naming every lost reel; per-offset
     /// sibling damage *beyond* the budget degrades only that offset to
@@ -1117,50 +1163,58 @@ impl Vault {
 
         let blank = GrayImage::new(geom.image_width(), geom.image_height(), 255);
         let _span = self.system.telemetry.span("vault.reconstruct_group");
-        // Per offset: (rebuilt frames, source frames decoded, inner-RS
-        // symbols corrected along the way).
-        type OffsetResult = (Vec<((usize, usize), GrayImage, bool)>, usize, usize);
-        let results: Vec<OffsetResult> =
-            ule_par::map(self.system.threads, &jobs, |(j, targets)| {
-                let j = *j;
-                let mut decodes = 0usize;
-                let mut corrected = 0usize;
-                // Every codeword reel's payload at offset `j`; `None`
-                // erases it. A reel whose frame count disagrees with the
-                // manifest (torn tape, partial scan) is never consumed
-                // zero-padded — recovering wrong bytes would only surface
-                // as a distant container-CRC mismatch naming no reel — it
-                // simply stops being a source.
+        // Reel `r`'s column at offset `j`: `None` erases it — a reel being
+        // rebuilt, or one whose frame count disagrees with the manifest
+        // (torn tape, partial scan; its wrong bytes would surface only as
+        // a distant container-CRC mismatch) — and `Some(None)` is a short
+        // tail reel's zero padding.
+        let column = |r: usize, j: usize, targets: &[usize]| {
+            reels[r]
+                .as_ref()
+                .filter(|s| !targets.contains(&r) && s.len() == layout.frames_on(r))
+                .map(|s| s.get(j))
+        };
+        let frames: Vec<_> = jobs
+            .iter()
+            .flat_map(|(j, targets)| group_reels.iter().map(move |&r| (r, *j, targets)))
+            .filter_map(|(r, j, targets)| {
+                Some((column(r, j, targets)??, Stamp::At(layout.header_at(r, j))))
+            })
+            .collect();
+        stats.recovery_frames_decoded += frames.len();
+        let mut verdicts = self.frame_verdicts(&frames, &Telemetry::off()).into_iter();
+        let work: Vec<_> = jobs
+            .iter()
+            .map(|(j, targets)| {
                 let payloads: Vec<Option<Vec<u8>>> = group_reels
                     .iter()
-                    .map(|&r| {
-                        let scans = reels[r].as_ref().filter(|scans| {
-                            !targets.contains(&r) && scans.len() == layout.frames_on(r)
-                        })?;
-                        let Some(scan) = scans.get(j) else {
-                            // Short tail reel: its stream is zero-padded
-                            // past its end by construction.
-                            return Some(Vec::new());
-                        };
-                        decodes += 1;
-                        let (_, payload, ds) = decode_emblem(&geom, scan).ok()?;
-                        corrected += ds.rs_corrected;
-                        Some(payload)
+                    .map(|&r| match column(r, *j, targets)? {
+                        None => Some(Vec::new()),
+                        Some(_) => {
+                            let (_, payload, ds) = verdicts.next()??;
+                            stats.corrected_symbols += ds.rs_corrected;
+                            Some(payload)
+                        }
                     })
                     .collect();
+                (*j, targets, payloads)
+            })
+            .collect();
+        let rebuilt: Vec<Vec<_>> =
+            ule_par::map(self.system.threads, &work, |(j, targets, payloads)| {
+                let j = *j;
                 let streams: Vec<Option<&[u8]>> = payloads.iter().map(Option::as_deref).collect();
                 let Ok((solved, _)) = rs.recover(&streams, layout.chunk_cap) else {
-                    let out = targets
+                    return targets
                         .iter()
                         .map(|&r| ((r, j), blank.clone(), false))
-                        .collect();
-                    return (out, decodes, corrected);
+                        .collect::<Vec<_>>();
                 };
                 let erased = group_reels
                     .iter()
                     .zip(&streams)
                     .filter_map(|(&r, s)| s.is_none().then_some(r));
-                let out = erased
+                erased
                     .zip(solved)
                     .filter(|(r, _)| targets.contains(r))
                     .map(|(r, bytes)| {
@@ -1169,18 +1223,12 @@ impl Vault {
                             encode_emblem(&geom, &header, &bytes[..header.payload_len as usize]);
                         ((r, j), image, true)
                     })
-                    .collect();
-                (out, decodes, corrected)
+                    .collect()
             });
 
-        let mut frames = Vec::with_capacity(wants.len());
-        for (rebuilt, decodes, corrected) in results {
-            stats.recovery_frames_decoded += decodes;
-            stats.corrected_symbols += corrected;
-            stats.frames_reconstructed += rebuilt.iter().filter(|(_, _, ok)| *ok).count();
-            frames.extend(rebuilt);
-        }
-        Ok(frames)
+        let rebuilt: Vec<_> = rebuilt.into_iter().flatten().collect();
+        stats.frames_reconstructed += rebuilt.iter().filter(|(_, _, ok)| *ok).count();
+        Ok(rebuilt)
     }
 
     /// The reel layout this configuration would produce for `dump`,
@@ -1233,13 +1281,6 @@ struct FrameSource<'a> {
 
 impl<'a> FrameSource<'a> {
     fn new(layout: ReelLayout, reels: &'a ReelScans) -> Result<Self, VaultError> {
-        if reels.len() != layout.total_reels() {
-            return Err(VaultError::ShapeMismatch(format!(
-                "manifest describes {} reels, shelf holds {}",
-                layout.total_reels(),
-                reels.len()
-            )));
-        }
         for r in 0..layout.content_reels() {
             if let Some(scans) = &reels[r] {
                 if scans.len() != layout.reel_frames(r) {
@@ -1335,10 +1376,9 @@ impl<'a> FrameSource<'a> {
         Ok(())
     }
 
-    /// The frame at global position `pos` (original scan or rebuilt).
-    /// `rebuild` must have covered `pos` first if its reel is lost.
-    fn get(&self, pos: usize) -> &GrayImage {
-        let (reel, offset) = self.layout.reel_of(pos);
+    /// The frame at `(reel, offset)` (original scan or rebuilt).
+    /// `rebuild` must have covered it first if its reel is lost.
+    fn get(&self, (reel, offset): (usize, usize)) -> &GrayImage {
         if let Some(image) = self.rebuilt.get(&(reel, offset)) {
             return image;
         }
@@ -1599,6 +1639,81 @@ mod tests {
                 stats.data_frames_total
             );
         }
+    }
+
+    #[test]
+    fn frame_verdicts_return_the_stamped_payloads_in_input_order() {
+        let vault = tiny_vault();
+        let dump = sample_dump();
+        let arc = vault.archive(&dump);
+        let scans = vault.scan_reels(&arc, 19);
+        let layout = arc.layout;
+        let (data_bytes, _, _) = vault.compose(&dump);
+        let chunks = [1usize, 4, 2];
+        assert!(layout.plan(StreamId::Data).data_emblems > 5);
+        let frames: Vec<(&GrayImage, Stamp<'_>)> = chunks
+            .iter()
+            .map(|&c| {
+                let (r, j) = layout.reel_of(layout.chunk_position(StreamId::Data, c));
+                (
+                    &scans[r].as_ref().unwrap()[j],
+                    Stamp::At(layout.header_at(r, j)),
+                )
+            })
+            .collect();
+        let verdicts = vault.frame_verdicts(&frames, &Telemetry::off());
+        assert_eq!(verdicts.len(), 3, "one verdict per frame, in input order");
+        let cap = layout.chunk_cap;
+        for (&c, verdict) in chunks.iter().zip(&verdicts) {
+            let (_, payload, _) = verdict.as_ref().expect("the stamped frame counts");
+            assert_eq!(payload, &data_bytes[c * cap..(c + 1) * cap], "chunk {c}");
+        }
+    }
+
+    #[test]
+    fn frame_verdicts_refuse_every_header_but_the_stamped_one() {
+        let vault = tiny_vault();
+        let arc = vault.archive(&sample_dump());
+        let scans = vault.scan_reels(&arc, 23);
+        let layout = arc.layout;
+        let at = |stream, emission| {
+            let (r, j) = layout.reel_of(layout.position(stream, emission));
+            (&scans[r].as_ref().unwrap()[j], layout.header_at(r, j))
+        };
+        let (data0, stamped) = at(StreamId::Data, 0);
+        let (data1, _) = at(StreamId::Data, 1);
+        let (index0, _) = at(StreamId::Index, 0);
+        let blank = GrayImage::new(data0.width(), data0.height(), 255);
+        let tel = Telemetry::enabled();
+        let verdicts = vault.frame_verdicts(
+            &[
+                (data0, Stamp::At(stamped)),
+                (data1, Stamp::At(stamped)),
+                (index0, Stamp::At(stamped)),
+                (&blank, Stamp::At(stamped)),
+            ],
+            &tel,
+        );
+        assert!(verdicts[0].is_some(), "the stamped frame");
+        assert!(verdicts[1].is_none(), "misfiled within its stream");
+        assert!(
+            verdicts[2].is_none(),
+            "right index, another stream's header"
+        );
+        assert!(verdicts[3].is_none(), "undecodable");
+        // Only the blank fails to decode; the refused frames decode
+        // cleanly and count as decode health like any other.
+        assert_eq!(tel.counter("decode.frames_total"), 4);
+        assert_eq!(tel.counter("decode.frames_failed"), 1);
+
+        // A whole-stream read places a frame by its own header: the
+        // misfiled data frame counts there, the foreign one still not.
+        let plan = layout.plan(StreamId::Data);
+        let stream = Stamp::Stream(&plan, EmblemKind::Data);
+        let verdicts =
+            vault.frame_verdicts(&[(data1, stream), (index0, stream)], &Telemetry::off());
+        assert_eq!(verdicts[0].as_ref().map(|(h, _, _)| h.index), Some(1));
+        assert!(verdicts[1].is_none());
     }
 
     #[test]

@@ -22,10 +22,10 @@
 
 use std::collections::BTreeMap;
 
-use crate::layout::ReelLayout;
+use crate::layout::{ReelLayout, Stamp};
 use crate::{ReelRole, ReelScans, RestorePath, Vault, VaultError, VaultRestoreStats};
 use micr_olonys::Bootstrap;
-use ule_emblem::decode_emblem;
+use ule_obs::Telemetry;
 
 /// Scrub verdict for one reel.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -137,19 +137,10 @@ impl RepairReport {
     }
 }
 
-/// Everything one reel's audit learned, payloads kept for the group's
-/// parity-consistency check.
-struct ReelAudit {
-    present: bool,
-    shape_ok: bool,
-    /// Expected frame count per the manifest.
-    frames: usize,
-    damaged: Vec<usize>,
-    corrected: usize,
-    /// Per-offset decoded payloads; `None` where the frame is damaged or
-    /// the reel is missing.
-    payloads: Vec<Option<Vec<u8>>>,
-}
+/// One reel's audited payloads, per offset (`None` where the frame is
+/// damaged), kept for the group's parity-consistency check; `None` for a
+/// missing or shape-wrong reel.
+type ReelPayloads = Option<Vec<Option<Vec<u8>>>>;
 
 impl Vault {
     /// Walk every reel of the shelf, verify every frame, and classify.
@@ -167,14 +158,7 @@ impl Vault {
                 "classic archive carries no reel manifest to scrub".into(),
             ));
         };
-        let layout = self.layout_of(bootstrap, manifest)?;
-        if reels.len() != layout.total_reels() {
-            return Err(VaultError::ShapeMismatch(format!(
-                "manifest describes {} reels, shelf holds {}",
-                layout.total_reels(),
-                reels.len()
-            )));
-        }
+        let layout = self.shelf_layout(bootstrap, manifest, reels)?;
 
         let mut report = ScrubReport {
             reels: (0..layout.total_reels())
@@ -184,8 +168,8 @@ impl Vault {
                         Some((group, slot)) => ReelRole::Parity { group, slot },
                         None => ReelRole::Content,
                     },
-                    present: false,
-                    frames: 0,
+                    present: reels[r].is_some(),
+                    frames: layout.frames_on(r),
                     damaged: Vec::new(),
                     corrected_symbols: 0,
                     health: ReelHealth::Lost,
@@ -194,23 +178,21 @@ impl Vault {
             groups: Vec::new(),
         };
 
+        let audits: Vec<ReelPayloads> = report
+            .reels
+            .iter_mut()
+            .map(|rec| self.audit_reel(&layout, reels, rec))
+            .collect();
+
         if layout.parity_reels() == 0 {
             // No cross-reel parity: a reel is clean or it is lost —
             // there is no budget to correct against. (The stream-level
             // outer code may still save a *restore*; scrub reports the
             // shelf, not the restore's odds.)
-            for r in 0..layout.total_reels() {
-                let audit = self.audit_reel(&layout, reels, r);
-                let rec = &mut report.reels[r];
-                rec.present = audit.present;
-                rec.frames = audit.frames;
-                rec.corrected_symbols = audit.corrected;
-                rec.health = if audit.present && audit.shape_ok && audit.damaged.is_empty() {
-                    ReelHealth::Clean
-                } else {
-                    ReelHealth::Lost
-                };
-                rec.damaged = audit.damaged;
+            for (rec, audit) in report.reels.iter_mut().zip(&audits) {
+                if audit.is_some() && rec.damaged.is_empty() {
+                    rec.health = ReelHealth::Clean;
+                }
             }
             self.count_scrub(&report);
             return Ok(report);
@@ -222,19 +204,10 @@ impl Vault {
             let group_reels = layout.codeword_reels(g);
             let m = layout.group_parity;
             let width = layout.parity_reel_frames(g);
-
-            let mut audits: BTreeMap<usize, ReelAudit> = group_reels
-                .iter()
-                .map(|&r| (r, self.audit_reel(&layout, reels, r)))
-                .collect();
-
             let lost: Vec<usize> = group_reels
                 .iter()
                 .copied()
-                .filter(|r| {
-                    let a = &audits[r];
-                    !a.present || !a.shape_ok
-                })
+                .filter(|&r| audits[r].is_none())
                 .collect();
 
             // Parity-group consistency: on a group with no damage at
@@ -244,21 +217,23 @@ impl Vault {
             // proof, so a disagreement convicts the parity frame — mark
             // it damaged and let repair re-encode it.
             let mut parity_mismatch_offsets = 0usize;
-            let undamaged =
-                lost.is_empty() && group_reels.iter().all(|r| audits[r].damaged.is_empty());
+            let undamaged = lost.is_empty()
+                && group_reels
+                    .iter()
+                    .all(|&r| report.reels[r].damaged.is_empty());
             if undamaged {
                 let cap = layout.chunk_cap;
-                let recomputed = layout.group_parity_streams(g, |r, j| {
-                    audits[&r].payloads[j].as_deref().expect("undamaged")
-                });
+                let payload = |r: usize, j: usize| {
+                    let frames = audits[r].as_ref().expect("undamaged");
+                    frames[j].as_deref().expect("undamaged")
+                };
+                let recomputed = layout.group_parity_streams(g, payload);
                 let mut bad_offsets: Vec<usize> = Vec::new();
                 for (slot, want) in recomputed.into_iter().enumerate() {
                     let pr = parity[slot];
                     for j in 0..width {
-                        let got = audits[&pr].payloads[j].as_deref().expect("undamaged");
-                        if got != &want[j * cap..(j + 1) * cap] {
-                            audits.get_mut(&pr).unwrap().damaged.push(j);
-                            audits.get_mut(&pr).unwrap().payloads[j] = None;
+                        if payload(pr, j) != &want[j * cap..(j + 1) * cap] {
+                            report.reels[pr].damaged.push(j);
                             if !bad_offsets.contains(&j) {
                                 bad_offsets.push(j);
                             }
@@ -276,7 +251,7 @@ impl Vault {
                 let erased = lost.len()
                     + group_reels
                         .iter()
-                        .filter(|r| !lost.contains(r) && audits[r].damaged.contains(&j))
+                        .filter(|&&r| !lost.contains(&r) && report.reels[r].damaged.contains(&j))
                         .count();
                 if erased > m {
                     over_budget.push(j);
@@ -286,23 +261,18 @@ impl Vault {
 
             let mut damaged_reels: Vec<usize> = Vec::new();
             for &r in &group_reels {
-                let a = audits.remove(&r).expect("audited");
                 let rec = &mut report.reels[r];
-                rec.present = a.present;
-                rec.frames = a.frames;
-                rec.corrected_symbols = a.corrected;
-                rec.health = if !a.present || !a.shape_ok {
+                rec.health = if audits[r].is_none() {
                     ReelHealth::Lost
-                } else if a.damaged.is_empty() {
+                } else if rec.damaged.is_empty() {
                     ReelHealth::Clean
-                } else if a.damaged.iter().all(|j| !over_budget.contains(j)) {
+                } else if rec.damaged.iter().all(|j| !over_budget.contains(j)) {
                     damaged_reels.push(r);
                     ReelHealth::Correctable
                 } else {
                     damaged_reels.push(r);
                     ReelHealth::Lost
                 };
-                rec.damaged = a.damaged;
             }
 
             report.groups.push(GroupScrub {
@@ -333,7 +303,7 @@ impl Vault {
         let _span = self.system.telemetry.span("vault.repair");
         let scrub = self.scrub(bootstrap, reels)?;
         let manifest = bootstrap.vault.as_ref().expect("scrub validated");
-        let layout = self.layout_of(bootstrap, manifest)?;
+        let layout = self.shelf_layout(bootstrap, manifest, reels)?;
         let mut out = RepairReport::default();
 
         if layout.parity_reels() == 0 {
@@ -413,57 +383,40 @@ impl Vault {
         Ok(out)
     }
 
-    /// Decode every frame of one reel against the exact header the
-    /// layout says it must carry.
-    fn audit_reel(&self, layout: &ReelLayout, reels: &ReelScans, r: usize) -> ReelAudit {
-        let expected = layout.frames_on(r);
-        let Some(scans) = reels[r].as_ref() else {
-            return ReelAudit {
-                present: false,
-                shape_ok: false,
-                frames: expected,
-                damaged: (0..expected).collect(),
-                corrected: 0,
-                payloads: vec![None; expected],
-            };
+    /// Audit reel `rec.reel` into its record: every frame through the
+    /// frame verdict against the exact header the layout says it must
+    /// carry.
+    fn audit_reel(
+        &self,
+        layout: &ReelLayout,
+        reels: &ReelScans,
+        rec: &mut ReelScrub,
+    ) -> ReelPayloads {
+        let r = rec.reel;
+        let Some(scans) = reels[r].as_ref().filter(|s| s.len() == rec.frames) else {
+            rec.damaged = (0..rec.frames).collect();
+            return None;
         };
-        if scans.len() != expected {
-            return ReelAudit {
-                present: true,
-                shape_ok: false,
-                frames: expected,
-                damaged: (0..expected).collect(),
-                corrected: 0,
-                payloads: vec![None; expected],
-            };
-        }
-        let geom = self.system.medium.geometry;
-        let offsets: Vec<usize> = (0..expected).collect();
-        let decoded: Vec<(Option<Vec<u8>>, usize)> =
-            ule_par::map(self.system.threads, &offsets, |&j| {
-                match decode_emblem(&geom, &scans[j]) {
-                    Ok((h, payload, ds)) if h == layout.header_at(r, j) => {
-                        (Some(payload), ds.rs_corrected)
-                    }
-                    _ => (None, 0),
+        let frames: Vec<_> = scans
+            .iter()
+            .enumerate()
+            .map(|(j, scan)| (scan, Stamp::At(layout.header_at(r, j))))
+            .collect();
+        let verdicts = self.frame_verdicts(&frames, &Telemetry::off());
+        let mut payloads = Vec::with_capacity(rec.frames);
+        for (j, verdict) in verdicts.into_iter().enumerate() {
+            match verdict {
+                Some((_, payload, ds)) => {
+                    rec.corrected_symbols += ds.rs_corrected;
+                    payloads.push(Some(payload));
                 }
-            });
-        let mut audit = ReelAudit {
-            present: true,
-            shape_ok: true,
-            frames: expected,
-            damaged: Vec::new(),
-            corrected: 0,
-            payloads: Vec::with_capacity(expected),
-        };
-        for (j, (payload, corrected)) in decoded.into_iter().enumerate() {
-            audit.corrected += corrected;
-            if payload.is_none() {
-                audit.damaged.push(j);
+                None => {
+                    rec.damaged.push(j);
+                    payloads.push(None);
+                }
             }
-            audit.payloads.push(payload);
         }
-        audit
+        Some(payloads)
     }
 
     fn count_scrub(&self, report: &ScrubReport) {

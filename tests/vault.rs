@@ -9,12 +9,18 @@
 //!   reconstruction succeeds, full and selective restores bit-exact;
 //! * two reels missing in one group → the structured
 //!   [`VaultError::ReelLoss`] naming the group and reels — never a
-//!   panic, never silent garbage.
+//!   panic, never silent garbage;
+//! * frames reordered on a reel ([`FrameReorderFault`]), swapped across
+//!   a stream boundary or copied over another frame → a frame counts
+//!   only under the header the reel layout stamps where it is read, so
+//!   a misfiled frame is one more erasure for the outer code or the
+//!   parity group: restores bit-exact, reel rebuilds never take it as a
+//!   source column.
 //!
 //! The worker pool is taken from `ULE_TEST_THREADS`, so the CI matrix
 //! (`e15-repair`) runs this file serial and 4-threaded.
 
-use ule::fault::{FaultPlan, FrameBlankFault};
+use ule::fault::{FaultPlan, FrameBlankFault, FrameReorderFault};
 use ule::obs::Telemetry;
 use ule::olonys::{Bootstrap, MicrOlonys};
 use ule::par::ThreadConfig;
@@ -696,4 +702,104 @@ fn parity_group_wider_than_a_codeword_is_a_shape_error() {
     let mut shelf = v.scan_reels(&arc, 48);
     shelf.resize(arc.layout.content_reels() + arc.layout.groups() * 254, None);
     assert_manifest_refused(&v, &bootstrap, &shelf);
+}
+
+/// `table`'s catalogued slice of `dump`.
+fn table_slice<'a>(arc: &VaultArchive, dump: &'a [u8], table: &str) -> &'a [u8] {
+    let e = arc.index.find(table).unwrap();
+    &dump[e.dump_start as usize..(e.dump_start + e.dump_len) as usize]
+}
+
+#[test]
+fn reordered_frames_on_any_reel_restore_bit_exact() {
+    // Reel 0 holds the system and index streams and the head of the
+    // data stream; a reorder there once failed every whole-stream read
+    // with "emblem headers disagree", while the same fault on reels 1
+    // and 2 was harmless.
+    let v = vault();
+    let dump = dump();
+    let arc = v.archive(&dump);
+    let pristine = v.scan_reels(&arc, 27);
+    for reel in 0..3 {
+        let mut scans = pristine.clone();
+        let frames = scans[reel].as_mut().unwrap();
+        *frames = FaultPlan::single(FrameReorderFault).apply(frames, 0.5, 9);
+        let (restored, _) = v
+            .restore_all(&arc.bootstrap, &scans)
+            .unwrap_or_else(|e| panic!("reel {reel} reordered: {e}"));
+        assert_eq!(restored, dump, "reel {reel} reordered");
+        let (bytes, _) = v
+            .restore_table(&arc.bootstrap, &scans, "orders")
+            .unwrap_or_else(|e| panic!("reel {reel} reordered: {e}"));
+        assert_eq!(bytes, table_slice(&arc, &dump, "orders"), "reel {reel}");
+    }
+}
+
+#[test]
+fn frames_swapped_across_a_stream_boundary_restore_bit_exact() {
+    // Reel 0's last index frame (offset 8) and first data frame (offset
+    // 9) trade places: each is a failed scan for its own stream, and
+    // the outer code rebuilds both.
+    let v = vault();
+    let dump = dump();
+    let arc = v.archive(&dump);
+    let layout = arc.layout;
+    assert_eq!(layout.sys_frames() + layout.index_frames(), 9);
+    let mut scans = v.scan_reels(&arc, 27);
+    scans[0].as_mut().unwrap().swap(8, 9);
+
+    let (restored, _) = v.restore_all(&arc.bootstrap, &scans).unwrap();
+    assert_eq!(restored, dump);
+    let (bytes, stats) = v.restore_table(&arc.bootstrap, &scans, "orders").unwrap();
+    assert_eq!(bytes, table_slice(&arc, &dump, "orders"));
+    assert!(!stats.index_fallback, "the index is read, not bypassed");
+    let (names, _) = v.list_tables(&arc.bootstrap, &scans).unwrap();
+    assert_eq!(names, arc.index.tables());
+}
+
+#[test]
+fn misfiled_sibling_frames_never_feed_a_reel_rebuild() {
+    // Reel 0's frames 4 and 5 trade places and reel 1, in the same
+    // parity group, is lost. Taken as source columns, the swapped
+    // payloads once rebuilt reel 1's offsets 4 and 5 as wrong "pristine"
+    // frames; refused, those two offsets are beyond the group's budget
+    // and become failed scans the outer code absorbs.
+    let v = vault();
+    let dump = dump();
+    let arc = v.archive(&dump);
+    assert_eq!(arc.layout.group_of(0), arc.layout.group_of(1));
+    let mut scans = v.scan_reels(&arc, 27);
+    scans[0].as_mut().unwrap().swap(4, 5);
+    scans[1] = None;
+
+    let (restored, stats) = v.restore_all(&arc.bootstrap, &scans).unwrap();
+    assert_eq!(restored, dump);
+    assert_eq!(stats.frames_reconstructed, arc.layout.reel_frames(1) - 2);
+    let (bytes, _) = v.restore_table(&arc.bootstrap, &scans, "orders").unwrap();
+    assert_eq!(bytes, table_slice(&arc, &dump, "orders"));
+}
+
+#[test]
+fn foreign_frame_at_a_data_position_is_rebuilt_not_trusted() {
+    // The index stream's emission 0 copied over the data stream's
+    // emission 0: same header index, other stream. A selective read
+    // refuses it and rebuilds that one frame from its parity group.
+    let v = vault();
+    let dump = dump();
+    let arc = v.archive(&dump);
+    let layout = arc.layout;
+    let mut scans = v.scan_reels(&arc, 27);
+    let (ir, io) = layout.reel_of(layout.position(StreamId::Index, 0));
+    let (dr, doff) = layout.reel_of(layout.position(StreamId::Data, 0));
+    let foreign = scans[ir].as_ref().unwrap()[io].clone();
+    scans[dr].as_mut().unwrap()[doff] = foreign;
+
+    let (bytes, stats) = v
+        .restore_table(&arc.bootstrap, &scans, "_preamble")
+        .unwrap();
+    assert_eq!(bytes, table_slice(&arc, &dump, "_preamble"));
+    assert_eq!(stats.path, RestorePath::Selective);
+    assert_eq!(stats.frames_reconstructed, 1);
+    let (restored, _) = v.restore_all(&arc.bootstrap, &scans).unwrap();
+    assert_eq!(restored, dump);
 }
