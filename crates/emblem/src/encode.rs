@@ -81,33 +81,30 @@ pub fn encode_emblem(geom: &EmblemGeometry, header: &EmblemHeader, payload: &[u8
     let border_size_w = (geom.cols + 2 * EDGE_CELLS) * cp;
     let border_size_h = (geom.rows + 2 * EDGE_CELLS) * cp;
     let t = (EDGE_CELLS - GAP_CELLS) * cp;
-    fill_rect(&mut img, border_off, border_off, border_size_w, t, 0);
-    fill_rect(
-        &mut img,
-        border_off,
-        border_off + border_size_h - t,
-        border_size_w,
-        t,
-        0,
-    );
-    fill_rect(&mut img, border_off, border_off, t, border_size_h, 0);
-    fill_rect(
-        &mut img,
-        border_off + border_size_w - t,
-        border_off,
-        t,
-        border_size_h,
-        0,
-    );
+    for (x, y, w, h) in [
+        (border_off, border_off, border_size_w, t),
+        (border_off, border_off + border_size_h - t, border_size_w, t),
+        (border_off, border_off, t, border_size_h),
+        (border_off + border_size_w - t, border_off, t, border_size_h),
+    ] {
+        fill_rect(&mut img, x, y, w, h, 0);
+    }
 
-    // Content cells.
+    // Content cells, row-major: paint each cell row into its first pixel
+    // row, then copy that span into the cell row's other `cp - 1` rows.
     let cells = content_cells(geom, header, payload);
     let origin = (QUIET_CELLS + EDGE_CELLS) * cp;
-    for cy in 0..geom.rows {
-        for cx in 0..geom.cols {
-            if !cells[cy * geom.cols + cx] {
-                fill_rect(&mut img, origin + cx * cp, origin + cy * cp, cp, cp, 0);
+    let (width, span) = (img.width(), geom.cols * cp);
+    let data = img.as_bytes_mut();
+    for (cy, row) in cells.chunks_exact(geom.cols).enumerate() {
+        let start = (origin + cy * cp) * width + origin;
+        for (px, &white) in data[start..start + span].chunks_exact_mut(cp).zip(row) {
+            if !white {
+                px.fill(0);
             }
+        }
+        for k in 1..cp {
+            data.copy_within(start..start + span, start + k * width);
         }
     }
     img

@@ -21,6 +21,7 @@ use crate::encode::encode_emblem;
 use crate::geometry::EmblemGeometry;
 use crate::header::{EmblemHeader, EmblemKind};
 use std::borrow::{Borrow, Cow};
+use std::cmp::Reverse;
 use ule_gf256::RsCode;
 use ule_obs::Telemetry;
 use ule_par::ThreadConfig;
@@ -354,7 +355,8 @@ pub fn decode_frames<S: Borrow<GrayImage> + Sync>(
 pub enum StreamError {
     /// No scan decoded to a usable emblem.
     NoEmblems,
-    /// Emblems disagree about the stream length.
+    /// The stream length most decoded emblems carry names no layout an
+    /// encoder could write (its emblem indices overflow 16 bits).
     InconsistentHeaders,
     /// Whole emblems of one group are missing (lost frames, or scans too
     /// damaged to decode) beyond the outer code's budget. `expected` and
@@ -380,7 +382,7 @@ impl std::fmt::Display for StreamError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             StreamError::NoEmblems => write!(f, "no decodable emblems"),
-            StreamError::InconsistentHeaders => write!(f, "emblem headers disagree"),
+            StreamError::InconsistentHeaders => write!(f, "impossible emblem stream length"),
             StreamError::FrameLoss {
                 group,
                 expected,
@@ -449,14 +451,23 @@ pub fn decode_stream_traced<S: Borrow<GrayImage> + Sync>(
     // Individual decode; tolerate per-scan failures (the outer code's job).
     let results = decode_frames(geom, scans, threads, tel);
     let failed = results.iter().filter(|r| r.is_err()).count();
-    let decoded: Vec<Decoded> = results.into_iter().flatten().collect();
+    let mut decoded: Vec<Decoded> = results.into_iter().flatten().collect();
     if decoded.is_empty() {
         return Err(StreamError::NoEmblems);
     }
-    let total_len = decoded[0].0.total_len;
-    if decoded.iter().any(|(h, _, _)| h.total_len != total_len) {
-        return Err(StreamError::InconsistentHeaders);
+    // The length most decoded frames carry wins (a tie goes to the earliest
+    // in scan order, so every thread count agrees); a frame naming another
+    // length, e.g. one spliced in from another archive, is a failed scan.
+    let mut tally = std::collections::BTreeMap::new();
+    for (i, (h, _, _)) in decoded.iter().enumerate() {
+        tally.entry(h.total_len).or_insert((0, Reverse(i))).0 += 1;
     }
+    let (total_len, (votes, _)) = tally
+        .into_iter()
+        .max_by_key(|&(_, v)| v)
+        .expect("at least one frame decoded");
+    let failed = failed + decoded.len() - votes;
+    decoded.retain(|(h, _, _)| h.total_len == total_len);
 
     // Did this stream carry outer parity? Surviving parity emblems say so
     // directly; failing that, a data emblem whose header has a slot under
@@ -757,6 +768,26 @@ mod tests {
         let (out, stats) = decode_stream(&g, &images).unwrap();
         assert_eq!(out, data);
         assert_eq!(stats.emblems_recovered, 0);
+    }
+
+    /// Two whole streams of different lengths in one pile, four frames
+    /// each: the tie goes to the stream whose frame comes first, at any
+    /// thread count, and the other stream's frames are failed scans.
+    #[test]
+    fn stream_length_tie_goes_to_the_earliest_frame() {
+        let g = geom();
+        let (a, b) = (payload(300), payload(200));
+        let images_a = encode_stream(&g, EmblemKind::Data, &a, true);
+        let images_b = encode_stream(&g, EmblemKind::Data, &b, true);
+        for (first, second, want) in [(&images_a, &images_b, &a), (&images_b, &images_a, &b)] {
+            let pile: Vec<&GrayImage> = first.iter().chain(second.iter()).collect();
+            for threads in [ThreadConfig::Serial, ThreadConfig::Fixed(3)] {
+                let (out, stats) = decode_stream_traced(&g, &pile, threads, &Telemetry::off())
+                    .expect("the earliest stream decodes");
+                assert_eq!(&out, want);
+                assert_eq!(stats.failed_scans, 4);
+            }
+        }
     }
 
     #[test]

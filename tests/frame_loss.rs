@@ -99,6 +99,28 @@ fn shuffled_scans_restore_bit_exact() {
     assert_eq!(restored, dump);
 }
 
+/// A frame spliced in from another archive names another stream length.
+/// The length most frames carry wins, the stray counts as a failed scan,
+/// and the outer code rebuilds the chunk it displaced.
+#[test]
+fn frame_spliced_from_another_archive_is_a_failed_scan() {
+    let sys = MicrOlonys::test_tiny().with_threads(threads());
+    let dump = two_group_dump();
+    let a = sys.archive(&dump);
+    let b = sys.archive(&ule::tpch::dump_for_scale(0.00005, 78));
+    let mut frames = a.data_frames.clone();
+    frames[1] = b.data_frames[1].clone();
+    let scans = sys.medium.scan_all_with(&frames, 45, threads());
+
+    let (restored, _) = sys.restore_native(&scans).expect("spliced restore");
+    assert_eq!(restored, dump);
+    let (_, stats) =
+        decode_stream_traced(&sys.medium.geometry, &scans, threads(), &Telemetry::off())
+            .expect("spliced stream");
+    assert!(stats.failed_scans >= 1, "{stats:?}");
+    assert!(stats.emblems_recovered >= 1, "{stats:?}");
+}
+
 #[test]
 fn loss_and_reorder_combined_stay_within_budget() {
     let sys = MicrOlonys::test_tiny().with_threads(threads());

@@ -13,7 +13,9 @@
 //! * CRC-32s of fault-injected scans under each medium's canonical
 //!   `FaultPlan` (seeded damage is replayable, so E9 campaigns are too);
 //! * one CRC-32 over the native decoder's results on `test_tiny` fault
-//!   rungs, so its cell decisions are pinned too.
+//!   rungs, so its cell decisions are pinned too;
+//! * one CRC-32 over `encode_emblem` + `Medium::print` output at
+//!   `cell_px` 2, 3 and 5, so the renderer is pinned in the default run.
 //!
 //! If a change is *meant* to alter the format (a new header version, say),
 //! regenerate with `ULE_REGEN_GOLDEN=1 cargo test --test golden_format`
@@ -482,4 +484,47 @@ fn vault_shelf_is_frozen() {
         actual,
         ["reels 00182318", "bootstrap 2a962e2b", "headers 54aa40e6"]
     );
+}
+
+/// The renderer's printed bytes, pinned in the default run: the full
+/// sweep above is the only other place a production-size print master is
+/// checked. One CRC-32 covers `encode_emblem` plus `Medium::print` at
+/// `cell_px` 2, 3 and 5 (micro, small and a one-block 5-pixel geometry),
+/// each with a full-capacity payload, centred on a frame with odd
+/// margins so the blit offset is not cell-aligned.
+#[test]
+fn encoder_output_is_frozen() {
+    use ule::emblem::{encode_emblem, EmblemGeometry, EmblemHeader};
+
+    let mut bytes = Vec::new();
+    for (i, geom) in [
+        EmblemGeometry::test_micro(),
+        EmblemGeometry::test_small(),
+        EmblemGeometry::new(256, 24, 5),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let payload: Vec<u8> = (0..geom.payload_capacity())
+            .map(|j| (j as u8).wrapping_mul(151).wrapping_add(i as u8 * 17 + 3))
+            .collect();
+        let header = EmblemHeader::new(
+            EmblemKind::Data,
+            i as u16,
+            1,
+            payload.len() as u32,
+            payload.len() as u32 * 3,
+        );
+        let medium = Medium {
+            geometry: geom,
+            frame_width: geom.image_width() + 61,
+            frame_height: geom.image_height() + 41,
+            ..Medium::test_tiny()
+        };
+        let frame = medium.print(&encode_emblem(&geom, &header, &payload));
+        bytes.extend_from_slice(&(frame.width() as u64).to_le_bytes());
+        bytes.extend_from_slice(&(frame.height() as u64).to_le_bytes());
+        bytes.extend_from_slice(frame.as_bytes());
+    }
+    assert_eq!(format!("{:08x}", crc32(&bytes)), "4dcb7c03");
 }
