@@ -4,7 +4,7 @@ use crate::bootstrap::document::Bootstrap;
 use ule_compress::Scheme;
 use ule_dynarisc::programs::{dbdecode, modecode};
 use ule_emblem::geometry::{EDGE_CELLS, QUIET_CELLS};
-use ule_emblem::{encode_stream_traced, EmblemKind};
+use ule_emblem::{stream::stream_emissions, EmblemKind};
 use ule_media::Medium;
 use ule_obs::Telemetry;
 use ule_par::ThreadConfig;
@@ -106,8 +106,8 @@ impl MicrOlonys {
 
     /// Archive a textual database dump: compress (DBCoder), lay out as
     /// emblems (MOCoder), render to media frames, and produce the
-    /// Bootstrap document. Records spans for the compress, encode and
-    /// print stages plus codec/emblem counters into `self.telemetry`.
+    /// Bootstrap document. Records spans for the compress, outer-parity
+    /// and print stages plus codec/emblem counters into `self.telemetry`.
     pub fn archive(&self, dump: &[u8]) -> ArchiveOutput {
         let tel = &self.telemetry;
         let _span = tel.span("archive");
@@ -124,8 +124,8 @@ impl MicrOlonys {
         tel.add("codec.bytes_out", bytes_out);
         tel.add(&format!("codec.{name}.bytes_in"), bytes_in);
         tel.add(&format!("codec.{name}.bytes_out"), bytes_out);
-        // Step 3: MOCoder — data emblems, fanned out per emblem.
-        let data_emblems = encode_stream_traced(
+        // Step 3: MOCoder — data emissions, outer parity fanned out per group.
+        let data = stream_emissions(
             &geom,
             EmblemKind::Data,
             &archive_bytes,
@@ -133,9 +133,9 @@ impl MicrOlonys {
             self.threads,
             tel,
         );
-        // Steps 4–5: the DBCoder decoder as system emblems.
+        // Steps 4–5: the DBCoder decoder as system emissions.
         let sys_bytes = Self::system_stream_bytes();
-        let system_emblems = encode_stream_traced(
+        let system = stream_emissions(
             &geom,
             EmblemKind::System,
             &sys_bytes,
@@ -145,12 +145,12 @@ impl MicrOlonys {
         );
         // Step 6: MODecode + the DynaRisc emulator into the Bootstrap.
         let bootstrap = self.make_bootstrap();
-        // Step 7: physical layout on frames, one rasterisation job each.
+        // Step 7: physical layout, each emblem painted onto its own frame.
         let (data_frames, system_frames) = {
             let _print = tel.span("archive.print");
             (
-                self.medium.print_all_with(&data_emblems, self.threads),
-                self.medium.print_all_with(&system_emblems, self.threads),
+                self.medium.render(&data, self.threads),
+                self.medium.render(&system, self.threads),
             )
         };
         tel.add("archive.data_frames", data_frames.len() as u64);

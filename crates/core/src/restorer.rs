@@ -291,8 +291,7 @@ impl MicrOlonys {
         tel: &Telemetry,
     ) -> Result<(Vec<u8>, RestoreStats), RestoreError> {
         let _span = tel.span("restore.emulated");
-        let boot = Bootstrap::parse(bootstrap_text)
-            .map_err(|e| RestoreError::Archive(ArchiveError::Corrupt(e.to_string())))?;
+        let boot = Bootstrap::parse(bootstrap_text).map_err(|e| corrupt(&e.to_string()))?;
         let mut stats = RestoreStats {
             scans: scans.len(),
             ..Default::default()
@@ -306,9 +305,17 @@ impl MicrOlonys {
         let outs: Vec<Result<(Vec<u8>, u64), RestoreError>> = {
             let _frames = tel.span("restore.emulated.frames");
             match tier {
-                EmulationTier::Nested(kind) => ule_par::map(threads, scans, |scan| {
-                    run_modecode_nested(&boot, scan, kind)
-                }),
+                EmulationTier::Nested(kind) => {
+                    NestedEmulator::check_image_prefix(
+                        &boot.image_prefix,
+                        &boot.symbols,
+                        boot.prog_capacity,
+                    )
+                    .map_err(|e| corrupt(&format!("Bootstrap image: {e}")))?;
+                    ule_par::map(threads, scans, |scan| {
+                        run_modecode_nested(&boot, scan, kind)
+                    })
+                }
                 _ => {
                     let runner = GuestRunner::for_tier(tier, modecode_from_prefix(&boot)?);
                     ule_par::map(threads, scans, |scan| {
@@ -374,6 +381,11 @@ impl MicrOlonys {
         tel.add(&format!("emulated.dispatch.{}", tier_label(tier)), 1);
         let guest = match tier {
             EmulationTier::Nested(kind) => {
+                if dbdecode_words.len() > boot.prog_capacity {
+                    return Err(corrupt(
+                        "DBDecode stream exceeds the Bootstrap's prog-capacity",
+                    ));
+                }
                 let mut emu = NestedEmulator::from_image_prefix(
                     &boot.image_prefix,
                     boot.symbols.clone(),
@@ -457,7 +469,6 @@ impl GuestRunner {
 /// 16-bit word per cell). Trailing zero cells past the program's final RET
 /// are unreachable and harmless.
 fn modecode_from_prefix(boot: &Bootstrap) -> Result<Vec<u16>, RestoreError> {
-    let corrupt = |msg: &str| RestoreError::Archive(ArchiveError::Corrupt(msg.to_string()));
     let base = *boot
         .symbols
         .get("PROG")
@@ -470,6 +481,11 @@ fn modecode_from_prefix(boot: &Bootstrap) -> Result<Vec<u16>, RestoreError> {
         .iter()
         .map(|&cell| cell as u16)
         .collect())
+}
+
+/// A structurally invalid archive: [`ArchiveError::Corrupt`] with `msg`.
+fn corrupt(msg: &str) -> RestoreError {
+    RestoreError::Archive(ArchiveError::Corrupt(msg.to_string()))
 }
 
 /// Reassemble one emblem stream (`kind`) from emulator-decoded emblems,
@@ -507,9 +523,9 @@ fn assemble_stream(
     }
     let total = items[0].0.total_len as usize;
     let plan = StreamPlan::checked(total, chunk_cap, outer_parity).ok_or_else(|| {
-        RestoreError::Archive(ArchiveError::Corrupt(format!(
+        corrupt(&format!(
             "{kind:?} stream of {total} bytes overflows the 16-bit emblem index"
-        )))
+        ))
     })?;
     let expected_chunks = plan.data_emblems;
     let mut chunks: Vec<Option<&[u8]>> = vec![None; expected_chunks];
@@ -543,10 +559,10 @@ fn assemble_stream(
         // Every expected emblem arrived but the bytes fall short: an
         // emblem's payload was truncated, i.e. content corruption rather
         // than frame loss.
-        return Err(RestoreError::Archive(ArchiveError::Corrupt(format!(
+        return Err(corrupt(&format!(
             "{kind:?} stream holds {} bytes, headers promise {total}",
             out.len()
-        ))));
+        )));
     }
     out.truncate(total);
     Ok(out)
@@ -662,9 +678,9 @@ mod tests {
 fn modecode_params(boot: &Bootstrap, scan: &GrayImage) -> Result<ModecodeParams, RestoreError> {
     let word = |name: &str, v: usize| {
         u16::try_from(v).map_err(|_| {
-            RestoreError::Archive(ArchiveError::Corrupt(format!(
+            corrupt(&format!(
                 "geometry {name}={v} does not fit MODecode's 16-bit parameter block"
-            )))
+            ))
         })
     };
     let params = ModecodeParams {

@@ -185,15 +185,22 @@ fn system_emblems_carry_the_decoder() {
 
 /// Replace `key=value` on the Bootstrap's `geometry:` line.
 fn edit_geometry(text: &str, key: &str, value: &str) -> String {
+    edit_line(text, "geometry:", |line| {
+        let field = line
+            .split_whitespace()
+            .find(|f| f.starts_with(&format!("{key}=")))
+            .expect("geometry field");
+        line.replacen(field, &format!("{key}={value}"), 1)
+    })
+}
+
+/// Rewrite the Bootstrap line starting with `prefix` through `edit`.
+fn edit_line(text: &str, prefix: &str, edit: impl Fn(&str) -> String) -> String {
     let line = text
         .lines()
-        .find(|l| l.starts_with("geometry:"))
-        .expect("geometry line");
-    let field = line
-        .split_whitespace()
-        .find(|f| f.starts_with(&format!("{key}=")))
-        .expect("geometry field");
-    text.replacen(line, &line.replacen(field, &format!("{key}={value}"), 1), 1)
+        .find(|l| l.starts_with(prefix))
+        .expect("bootstrap line");
+    text.replacen(line, &edit(line), 1)
 }
 
 #[test]
@@ -263,4 +270,61 @@ fn hostile_stream_length_is_corrupt_on_the_emulated_path() {
         // A frame-loss report here would list millions of indices.
         other => panic!("expected Corrupt, got {:.200}", format!("{other:?}")),
     }
+}
+
+/// Set (or, with `None`, drop) one `NAME=addr` pair of the `symbols:` line.
+fn edit_symbol(text: &str, name: &str, value: Option<&str>) -> String {
+    edit_line(text, "symbols:", |line| {
+        line.split(' ')
+            .filter_map(|f| match f.split_once('=') {
+                Some((k, _)) if k == name => value.map(|v| format!("{k}={v}")),
+                _ => Some(f.to_string()),
+            })
+            .collect::<Vec<_>>()
+            .join(" ")
+    })
+}
+
+/// Restore a `test_micro` archive through the Nested tier from a
+/// Bootstrap edited by `edit`; the answer must be `Corrupt`, not a panic.
+fn nested_restore_is_corrupt(edit: impl Fn(&str) -> String) {
+    let sys = micro_system();
+    let out = sys.archive(&sample_dump());
+    let hostile = edit(&out.bootstrap.to_text());
+    assert_ne!(
+        hostile,
+        out.bootstrap.to_text(),
+        "the edit must change the text"
+    );
+    let mut scans = out.system_frames.clone();
+    scans.extend(out.data_frames.iter().cloned());
+    let tier = EmulationTier::Nested(EngineKind::TableDriven);
+    let threads = ThreadConfig::from_env_or(ThreadConfig::Serial);
+    match MicrOlonys::restore_emulated(&hostile, &scans, tier, threads) {
+        Err(RestoreError::Archive(ArchiveError::Corrupt(_))) => {}
+        other => panic!("expected Corrupt, got {other:?}"),
+    }
+}
+
+#[test]
+fn nested_tier_refuses_a_prog_capacity_below_dbdecode() {
+    nested_restore_is_corrupt(|t| edit_line(t, "prog-capacity:", |_| "prog-capacity: 1".into()));
+}
+
+#[test]
+fn nested_tier_refuses_a_symbols_line_without_prog() {
+    nested_restore_is_corrupt(|t| edit_symbol(t, "PROG", None));
+}
+
+#[test]
+fn nested_tier_refuses_a_prog_past_the_image() {
+    nested_restore_is_corrupt(|t| edit_symbol(t, "PROG", Some("4000000000")));
+}
+
+#[test]
+fn nested_tier_refuses_hostile_dynmem_and_state_cells() {
+    nested_restore_is_corrupt(|t| edit_symbol(t, "DYNMEM", None));
+    nested_restore_is_corrupt(|t| edit_symbol(t, "DYNMEM", Some("4000000000")));
+    nested_restore_is_corrupt(|t| edit_symbol(t, "REGS", Some("4000000000")));
+    nested_restore_is_corrupt(|t| edit_symbol(t, "SP", None));
 }

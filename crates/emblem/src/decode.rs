@@ -64,6 +64,19 @@ impl std::fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
+impl DecodeError {
+    /// The failed stage, as the `decode.fail.<cause>` trace counters name
+    /// it.
+    pub fn cause(&self) -> &'static str {
+        match self {
+            DecodeError::BorderNotFound => "border_not_found",
+            DecodeError::CalibrationMismatch { .. } => "calibration_mismatch",
+            DecodeError::HeaderUnreadable => "header_unreadable",
+            DecodeError::RsFailure { .. } => "rs_failure",
+        }
+    }
+}
+
 /// Grid resampler: maps content-cell coordinates to scan pixels by
 /// interpolating between the border edges (per-scanline), then calls each
 /// cell white when the mean intensity of its central block reaches the

@@ -1,4 +1,4 @@
-//! Emblem rendering: payload bytes → print-master image.
+//! Emblem rendering: payload bytes → emblem pixels on a master or a frame.
 
 use crate::geometry::{
     EmblemGeometry, EDGE_CELLS, GAP_CELLS, HEADER_COPIES, OVERHEAD_ROWS, QUIET_CELLS, RS_K, RS_N,
@@ -71,33 +71,51 @@ pub fn content_cells(geom: &EmblemGeometry, header: &EmblemHeader, payload: &[u8
     cells
 }
 
-/// Render an emblem print master (bitonal: 0 = black ink, 255 = white).
+/// Render an emblem print master (bitonal: 0 = black ink, 255 = white):
+/// [`encode_emblem_into`] on a white image of the emblem's size.
 pub fn encode_emblem(geom: &EmblemGeometry, header: &EmblemHeader, payload: &[u8]) -> GrayImage {
-    let cp = geom.cell_px;
     let mut img = GrayImage::new(geom.image_width(), geom.image_height(), 255);
+    encode_emblem_into(&mut img, 0, 0, geom, header, payload);
+    img
+}
+
+/// Paint an emblem onto a white `img`, its top-left corner at `(x, y)`.
+/// Only black ink is written, so `img` is the quiet zone: a medium's frame
+/// takes the emblem with no master in between. Panics if it does not fit.
+pub fn encode_emblem_into(
+    img: &mut GrayImage,
+    x: usize,
+    y: usize,
+    geom: &EmblemGeometry,
+    header: &EmblemHeader,
+    payload: &[u8],
+) {
+    let (cp, width) = (geom.cell_px, img.width());
+    let fits = x + geom.image_width() <= width && y + geom.image_height() <= img.height();
+    assert!(fits, "emblem does not fit the image");
 
     // Thick black border ring.
     let border_off = QUIET_CELLS * cp;
     let border_size_w = (geom.cols + 2 * EDGE_CELLS) * cp;
     let border_size_h = (geom.rows + 2 * EDGE_CELLS) * cp;
     let t = (EDGE_CELLS - GAP_CELLS) * cp;
-    for (x, y, w, h) in [
+    for (bx, by, w, h) in [
         (border_off, border_off, border_size_w, t),
         (border_off, border_off + border_size_h - t, border_size_w, t),
         (border_off, border_off, t, border_size_h),
         (border_off + border_size_w - t, border_off, t, border_size_h),
     ] {
-        fill_rect(&mut img, x, y, w, h, 0);
+        fill_rect(img, x + bx, y + by, w, h, 0);
     }
 
     // Content cells, row-major: paint each cell row into its first pixel
     // row, then copy that span into the cell row's other `cp - 1` rows.
     let cells = content_cells(geom, header, payload);
     let origin = (QUIET_CELLS + EDGE_CELLS) * cp;
-    let (width, span) = (img.width(), geom.cols * cp);
+    let span = geom.cols * cp;
     let data = img.as_bytes_mut();
     for (cy, row) in cells.chunks_exact(geom.cols).enumerate() {
-        let start = (origin + cy * cp) * width + origin;
+        let start = (y + origin + cy * cp) * width + x + origin;
         for (px, &white) in data[start..start + span].chunks_exact_mut(cp).zip(row) {
             if !white {
                 px.fill(0);
@@ -107,7 +125,6 @@ pub fn encode_emblem(geom: &EmblemGeometry, header: &EmblemHeader, payload: &[u8
             data.copy_within(start..start + span, start + k * width);
         }
     }
-    img
 }
 
 #[cfg(test)]

@@ -14,7 +14,8 @@
 //!   up to 7.2% damaged data) and an outer RS(20,17) across groups of 20
 //!   emblems (any 3 whole emblems may be lost) — see [`stream`].
 //!
-//! Encoding renders print masters as [`ule_raster::GrayImage`]s; decoding
+//! Encoding paints emblems onto [`ule_raster::GrayImage`]s (a master, or a
+//! medium's frame in place: [`encode_emblem_into`]); decoding
 //! consumes (possibly degraded, rescaled) scans and follows the border
 //! geometry to resample the cell grid, so lens curvature and transport
 //! jitter are compensated exactly the way §3.1 demands.
@@ -36,7 +37,7 @@ pub mod manchester;
 pub mod stream;
 
 pub use decode::{decode_emblem, inner_decode_with, DecodeError, DecodeStats};
-pub use encode::{encode_emblem, inner_encode};
+pub use encode::{encode_emblem, encode_emblem_into, inner_encode};
 pub use geometry::EmblemGeometry;
 pub use header::{EmblemHeader, EmblemKind};
 pub use stream::{

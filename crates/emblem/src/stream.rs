@@ -210,7 +210,7 @@ pub fn encode_stream(
 /// encode, cell layout, rasterisation) fanned out across `threads` workers,
 /// plus telemetry: spans for the outer-parity and render stages, counters
 /// for data/parity emblem counts. It is [`stream_emissions`] followed by
-/// [`render_emissions`].
+/// one [`encode_emblem`] job per emission (`Medium::render` skips masters).
 ///
 /// Determinism: emblem content is a pure function of `(header, chunk)`, and
 /// both the outer-parity stage (one job per group) and the render stage
@@ -229,13 +229,17 @@ pub fn encode_stream_traced(
     tel: &Telemetry,
 ) -> Vec<GrayImage> {
     let emissions = stream_emissions(geom, kind, payload, with_parity, threads, tel);
-    render_emissions(geom, &emissions, threads, tel)
+    let _span = tel.span("archive.encode.render");
+    ule_par::map(threads, &emissions, |(header, bytes)| {
+        encode_emblem(geom, header, bytes)
+    })
 }
 
-/// Stage 1 of the encoder: every emission of the stream in emission
-/// order, headers from [`StreamPlan::header`]. The outer-code parity
-/// chunks are computed here, one independent job per group; `parity_of`
-/// batches all byte columns per slice-kernel call (DESIGN.md §12).
+/// Stage 1 of every encoder (masters here, frames in `Medium::render`):
+/// every emission of the stream in emission order, headers from
+/// [`StreamPlan::header`]. The outer-code parity chunks are computed
+/// here, one independent job per group; `parity_of` batches all byte
+/// columns per slice-kernel call (DESIGN.md §12).
 /// Panics if the stream needs more emissions than the 16-bit emblem
 /// index can number.
 pub fn stream_emissions<'a>(
@@ -279,20 +283,6 @@ pub fn stream_emissions<'a>(
         .collect()
 }
 
-/// Stage 2 of the encoder: rasterise every emission (inner RS encode,
-/// cell layout), one job per emblem, joined in emission order.
-pub fn render_emissions(
-    geom: &EmblemGeometry,
-    emissions: &[Emission<'_>],
-    threads: ThreadConfig,
-    tel: &Telemetry,
-) -> Vec<GrayImage> {
-    let _span = tel.span("archive.encode.render");
-    ule_par::map(threads, emissions, |(header, bytes)| {
-        encode_emblem(geom, header, bytes)
-    })
-}
-
 /// A decoded emblem: its header, payload and decode stats.
 pub type Decoded = (EmblemHeader, Vec<u8>, DecodeStats);
 
@@ -302,7 +292,9 @@ pub type Decoded = (EmblemHeader, Vec<u8>, DecodeStats);
 /// `scan.decode.frame` span in its own recorder shard (merged back in
 /// input order, so scheduling never reorders the trace) and the batch
 /// lands on the `decode.*` health counters, where `clean_frames +
-/// frames_corrected + frames_failed == frames_total` on any trace.
+/// frames_corrected + frames_failed == frames_total` on any trace, and
+/// each failed scan adds one to the `decode.fail.<cause>` counter of its
+/// [`DecodeError::cause`], so the causes sum to `frames_failed`.
 /// `scans` may hold images or borrows of them (`&[&GrayImage]`).
 pub fn decode_frames<S: Borrow<GrayImage> + Sync>(
     geom: &EmblemGeometry,
@@ -323,9 +315,13 @@ pub fn decode_frames<S: Borrow<GrayImage> + Sync>(
     let (mut failed, mut clean, mut corrected) = (0u64, 0u64, 0u64);
     let (mut symbols, mut sync_errors, mut retries) = (0u64, 0u64, 0u64);
     for frame in &results {
-        let Ok((_, _, s)) = frame else {
-            failed += 1;
-            continue;
+        let (_, _, s) = match frame {
+            Ok(decoded) => decoded,
+            Err(e) => {
+                failed += 1;
+                tel.add(&format!("decode.fail.{}", e.cause()), 1);
+                continue;
+            }
         };
         if s.rs_corrected == 0 {
             clean += 1;

@@ -25,7 +25,7 @@
 //! [`Medium::canonical_fault_plan`] names each medium's standard decay
 //! scenario.
 
-use ule_emblem::EmblemGeometry;
+use ule_emblem::{encode_emblem_into, stream::Emission, EmblemGeometry};
 use ule_fault::{
     Blotch, BurstScratch, ContrastFade, EdgeTear, FaultPlan, FrameLossFault, FrameReorderFault,
     Orientation, SaltPepper,
@@ -174,20 +174,33 @@ impl Medium {
     /// # Panics
     /// Panics if the emblem image exceeds the frame dimensions.
     pub fn print(&self, emblem: &GrayImage) -> GrayImage {
-        assert!(
-            emblem.width() <= self.frame_width && emblem.height() <= self.frame_height,
-            "emblem {}x{} exceeds {} frame {}x{}",
-            emblem.width(),
-            emblem.height(),
-            self.name,
-            self.frame_width,
-            self.frame_height
-        );
-        let mut frame = GrayImage::new(self.frame_width, self.frame_height, 255);
-        let x = (self.frame_width - emblem.width()) / 2;
-        let y = (self.frame_height - emblem.height()) / 2;
+        let (mut frame, x, y) = self.blank_frame(emblem.width(), emblem.height());
         blit(&mut frame, emblem, x, y);
         frame
+    }
+
+    /// Lay each emission onto its own frame, one job per emission across
+    /// `threads`, in emission order: the emblem is painted in place at
+    /// `print`'s offset, so the bytes are those of `print(&encode_emblem(..))`
+    /// with no master. Panics like `print` if the emblem exceeds the frame.
+    pub fn render(&self, emissions: &[Emission<'_>], threads: ThreadConfig) -> Vec<GrayImage> {
+        let g = &self.geometry;
+        ule_par::map(threads, emissions, |(header, bytes)| {
+            let (mut frame, x, y) = self.blank_frame(g.image_width(), g.image_height());
+            encode_emblem_into(&mut frame, x, y, g, header, bytes);
+            frame
+        })
+    }
+
+    /// A white frame and the offset that centres a `w × h` emblem on it.
+    fn blank_frame(&self, w: usize, h: usize) -> (GrayImage, usize, usize) {
+        let (fw, fh) = (self.frame_width, self.frame_height);
+        assert!(
+            w <= fw && h <= fh,
+            "emblem {w}x{h} exceeds {} frame {fw}x{fh}",
+            self.name
+        );
+        (GrayImage::new(fw, fh, 255), (fw - w) / 2, (fh - h) / 2)
     }
 
     /// Scan one frame with this medium's degradation preset.
@@ -329,6 +342,7 @@ impl Medium {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::borrow::Cow;
     use ule_emblem::{decode_emblem, encode_emblem, EmblemHeader, EmblemKind};
 
     #[test]
@@ -371,6 +385,84 @@ mod tests {
         assert_eq!(frame.width(), m.frame_width);
         assert_eq!(frame.get(0, 0), 255);
         assert_eq!(frame.get(frame.width() - 1, frame.height() - 1), 255);
+    }
+
+    /// `n` emissions with distinct headers and near-full-capacity payloads.
+    fn emissions(g: &EmblemGeometry, n: u16) -> Vec<Emission<'static>> {
+        (0..n)
+            .map(|i| {
+                let len = g.payload_capacity() - i as usize;
+                let payload: Vec<u8> = (0..len)
+                    .map(|j| (j as u8).wrapping_mul(37) ^ i as u8)
+                    .collect();
+                let header = EmblemHeader::new(EmblemKind::Data, i, 0, len as u32, len as u32);
+                (header, Cow::Owned(payload))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn render_matches_print_of_the_master() {
+        // Every preset, an emblem that exactly fills its frame, and odd
+        // margins (the centring offset rounds down on both axes).
+        let tiny = Medium::test_tiny();
+        let g = tiny.geometry;
+        let media = [
+            Medium::paper_a4_600dpi(),
+            Medium::microfilm_16mm(),
+            Medium::cinema_35mm(),
+            Medium::test_micro(),
+            Medium {
+                frame_width: g.image_width(),
+                frame_height: g.image_height(),
+                ..tiny.clone()
+            },
+            Medium {
+                frame_width: g.image_width() + 7,
+                frame_height: g.image_height() + 3,
+                ..tiny.clone()
+            },
+            tiny,
+        ];
+        for m in media {
+            let n = if m.frame_width > 2000 { 1 } else { 3 };
+            let emissions = emissions(&m.geometry, n);
+            let printed: Vec<GrayImage> = emissions
+                .iter()
+                .map(|(h, p)| m.print(&encode_emblem(&m.geometry, h, p)))
+                .collect();
+            let rendered = m.render(&emissions, ThreadConfig::Fixed(2));
+            assert!(
+                rendered == printed,
+                "{} {}x{}",
+                m.name,
+                m.frame_width,
+                m.frame_height
+            );
+        }
+    }
+
+    #[test]
+    fn oversize_emblem_panics_in_render_with_prints_message() {
+        let tiny = Medium::test_tiny();
+        let g = tiny.geometry;
+        let m = Medium {
+            frame_height: g.image_height() - 1,
+            ..tiny
+        };
+        let emissions = emissions(&g, 1);
+        let master = encode_emblem(&g, &emissions[0].0, &emissions[0].1);
+        let message = |f: &dyn Fn()| {
+            let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).unwrap_err();
+            payload
+                .downcast_ref::<String>()
+                .cloned()
+                .expect("formatted message")
+        };
+        let printed = message(&|| drop(m.print(&master)));
+        let rendered = message(&|| drop(m.render(&emissions, ThreadConfig::Serial)));
+        assert_eq!(printed, "emblem 804x324 exceeds test medium frame 864x323");
+        assert_eq!(rendered, printed);
     }
 
     #[test]

@@ -68,8 +68,8 @@ use layout::{ReelLayout, Stamp, StreamId};
 use micr_olonys::{Bootstrap, MicrOlonys, RestoreError, VaultManifest};
 use segment::{segment_dump, Segment};
 use ule_compress::ArchiveError;
-use ule_emblem::stream::{render_emissions, stream_emissions, Decoded, StreamError};
-use ule_emblem::{decode_frames, encode_emblem, encode_stream_traced, EmblemHeader, EmblemKind};
+use ule_emblem::stream::{stream_emissions, Decoded, StreamError};
+use ule_emblem::{decode_frames, encode_emblem, EmblemHeader, EmblemKind};
 use ule_gf256::crc::{crc32, crc32_update};
 use ule_obs::Telemetry;
 use ule_raster::GrayImage;
@@ -538,7 +538,7 @@ impl Vault {
         let sys_bytes = MicrOlonys::system_stream_bytes();
 
         let layout = self.layout_for(&index_bytes, &data_bytes);
-        // Encode + print the three content streams in shelf order. Their
+        // Render the three content streams in shelf order. Their
         // emissions (header plus chunk bytes, outer parity included) are
         // kept: cross-reel parity runs over the very same bytes.
         let parity = self.system.with_parity;
@@ -550,8 +550,7 @@ impl Vault {
             (EmblemKind::Data, &data_bytes),
         ] {
             let emissions = stream_emissions(&geom, kind, bytes, parity, threads, tel);
-            let emblems = render_emissions(&geom, &emissions, threads, tel);
-            frames.extend(self.system.medium.print_all_with(&emblems, threads));
+            frames.extend(self.system.medium.render(&emissions, threads));
             payloads.extend(emissions.into_iter().map(|(_, chunk)| chunk));
         }
         debug_assert_eq!(frames.len(), layout.total_frames());
@@ -575,18 +574,13 @@ impl Vault {
                 let parity = layout
                     .group_parity_streams(g, |r, j| &payloads[r * layout.reel_capacity + j][..]);
                 for (slot, parity_bytes) in parity.into_iter().enumerate() {
-                    let emblems = encode_stream_traced(
-                        &geom,
-                        EmblemKind::ReelParity,
-                        &parity_bytes,
-                        false,
-                        threads,
-                        tel,
-                    );
+                    let kind = EmblemKind::ReelParity;
+                    let emissions =
+                        stream_emissions(&geom, kind, &parity_bytes, false, threads, tel);
                     reels.push(Reel {
                         id: layout.parity_reel_of(g, slot),
                         role: ReelRole::Parity { group: g, slot },
-                        frames: self.system.medium.print_all_with(&emblems, threads),
+                        frames: self.system.medium.render(&emissions, threads),
                     });
                 }
             }

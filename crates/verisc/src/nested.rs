@@ -30,6 +30,18 @@ use std::collections::HashMap;
 /// Depth of the guest call stack (mirrors the native VM).
 const GUEST_STACK: usize = 256;
 
+/// The guest state cells the host side indexes by symbol (besides `PROG`
+/// and `DYNMEM`), with the number of cells each spans.
+const STATE_CELLS: [(&str, usize); 7] = [
+    ("DPC", 1),
+    ("SP", 1),
+    ("CFLAG", 1),
+    ("ZFLAG", 1),
+    ("NFLAG", 1),
+    ("REGS", 16),
+    ("PTRS", 8),
+];
+
 /// A ready-to-run nested emulator instance.
 pub struct NestedEmulator {
     image: Vec<u32>,
@@ -1036,18 +1048,48 @@ impl NestedEmulator {
     pub fn reset_guest(&mut self) {
         self.image[0] = crate::spec::CODE_BASE;
         self.image[1] = 0;
-        for name in ["DPC", "SP", "CFLAG", "ZFLAG", "NFLAG"] {
+        for (name, cells) in STATE_CELLS {
             let a = self.symbols[name] as usize;
-            self.image[a] = 0;
+            self.image[a..a + cells].fill(0);
         }
-        let regs = self.symbols["REGS"] as usize;
-        for i in 0..16 {
-            self.image[regs + i] = 0;
+    }
+
+    /// Check an archived image (a Bootstrap's prefix, symbols and
+    /// `prog-capacity`) before [`Self::from_image_prefix`],
+    /// [`Self::reset_guest`] and [`Self::load_guest_program`] index it:
+    /// `DYNMEM` must lie within `prefix`, and every other symbol the host
+    /// side indexes must be present with its whole region below `DYNMEM`,
+    /// `PROG`'s region being `prog_capacity` cells. Names the first
+    /// defect found.
+    pub fn check_image_prefix(
+        prefix: &[u32],
+        symbols: &HashMap<String, u32>,
+        prog_capacity: usize,
+    ) -> Result<(), String> {
+        let at = |name: &str| {
+            symbols
+                .get(name)
+                .map(|&a| a as usize)
+                .ok_or_else(|| format!("image lacks a {name} symbol"))
+        };
+        let dynmem = at("DYNMEM")?;
+        if dynmem > prefix.len() {
+            return Err(format!(
+                "DYNMEM={dynmem} lies past the {}-word image prefix",
+                prefix.len()
+            ));
         }
-        let ptrs = self.symbols["PTRS"] as usize;
-        for i in 0..8 {
-            self.image[ptrs + i] = 0;
+        for (name, cells) in STATE_CELLS.into_iter().chain([("PROG", prog_capacity)]) {
+            if at(name)?
+                .checked_add(cells)
+                .map_or(true, |end| end > dynmem)
+            {
+                return Err(format!(
+                    "{name} region of {cells} cells reaches past DYNMEM={dynmem}"
+                ));
+            }
         }
+        Ok(())
     }
 
     /// Overwrite the guest program region (the Bootstrap's "load the

@@ -15,7 +15,10 @@
 //! * one CRC-32 over the native decoder's results on `test_tiny` fault
 //!   rungs, so its cell decisions are pinned too;
 //! * one CRC-32 over `encode_emblem` + `Medium::print` output at
-//!   `cell_px` 2, 3 and 5, so the renderer is pinned in the default run.
+//!   `cell_px` 2, 3 and 5, so the renderer is pinned in the default run,
+//!   and the same CRC over `Medium::render`, the in-place path;
+//! * CRC-32s of `MicrOlonys::archive`'s data and system frames on a
+//!   multi-group stream, in the default run.
 //!
 //! If a change is *meant* to alter the format (a new header version, say),
 //! regenerate with `ULE_REGEN_GOLDEN=1 cargo test --test golden_format`
@@ -491,12 +494,14 @@ fn vault_shelf_is_frozen() {
 /// checked. One CRC-32 covers `encode_emblem` plus `Medium::print` at
 /// `cell_px` 2, 3 and 5 (micro, small and a one-block 5-pixel geometry),
 /// each with a full-capacity payload, centred on a frame with odd
-/// margins so the blit offset is not cell-aligned.
+/// margins so the blit offset is not cell-aligned. The archivers' path,
+/// `Medium::render` painting in place, must give the very same CRC.
 #[test]
 fn encoder_output_is_frozen() {
+    use std::borrow::Cow;
     use ule::emblem::{encode_emblem, EmblemGeometry, EmblemHeader};
 
-    let mut bytes = Vec::new();
+    let (mut printed_bytes, mut rendered_bytes) = (Vec::new(), Vec::new());
     for (i, geom) in [
         EmblemGeometry::test_micro(),
         EmblemGeometry::test_small(),
@@ -521,10 +526,47 @@ fn encoder_output_is_frozen() {
             frame_height: geom.image_height() + 41,
             ..Medium::test_tiny()
         };
-        let frame = medium.print(&encode_emblem(&geom, &header, &payload));
-        bytes.extend_from_slice(&(frame.width() as u64).to_le_bytes());
-        bytes.extend_from_slice(&(frame.height() as u64).to_le_bytes());
-        bytes.extend_from_slice(frame.as_bytes());
+        let printed = medium.print(&encode_emblem(&geom, &header, &payload));
+        let emission = (header, Cow::Borrowed(&payload[..]));
+        let [rendered] = &medium.render(&[emission], ThreadConfig::Serial)[..] else {
+            panic!("one emission renders one frame");
+        };
+        for (bytes, frame) in [
+            (&mut printed_bytes, &printed),
+            (&mut rendered_bytes, rendered),
+        ] {
+            bytes.extend_from_slice(&(frame.width() as u64).to_le_bytes());
+            bytes.extend_from_slice(&(frame.height() as u64).to_le_bytes());
+            bytes.extend_from_slice(frame.as_bytes());
+        }
     }
-    assert_eq!(format!("{:08x}", crc32(&bytes)), "4dcb7c03");
+    for bytes in [printed_bytes, rendered_bytes] {
+        assert_eq!(format!("{:08x}", crc32(&bytes)), "4dcb7c03");
+    }
+}
+
+/// The archiver's printed frames, pinned in the default run on a stream
+/// the fixture dump cannot reach: a multi-group data stream (outer
+/// groups of 17 and 14 chunks) plus the system stream, as
+/// `MicrOlonys::archive` lays them onto `test_tiny` frames. One CRC-32
+/// per stream covers every frame in emission order.
+#[test]
+fn archive_frames_are_frozen() {
+    let threads = ThreadConfig::from_env_or(ThreadConfig::Serial);
+    let arch = MicrOlonys::test_tiny()
+        .with_threads(threads)
+        .archive(&ule::tpch::dump_for_scale(0.0001, 77));
+    let actual = [
+        format!(
+            "data {} {:08x}",
+            arch.data_frames.len(),
+            stream_crc32(&arch.data_frames)
+        ),
+        format!(
+            "system {} {:08x}",
+            arch.system_frames.len(),
+            stream_crc32(&arch.system_frames)
+        ),
+    ];
+    assert_eq!(actual, ["data 37 f91cd2b5", "system 4 447ebe00"]);
 }

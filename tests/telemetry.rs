@@ -171,3 +171,48 @@ fn disabled_telemetry_records_nothing_on_a_full_pipeline() {
     assert!(trace.spans.is_empty());
     assert!(trace.counters.is_empty());
 }
+
+#[test]
+fn failed_frames_are_counted_by_cause() {
+    // A seeded damaged pile: some frames blanked end to end (no border to
+    // find), the rest under heavy or moderate salt-and-pepper (headers or
+    // inner RS blocks unreadable). Every failed frame lands on exactly one
+    // cause counter, and the counters are the same at any thread count.
+    use ule::emblem::decode_frames;
+    use ule::fault::{FrameBlankFault, SaltPepper};
+
+    let sys = tiny(ThreadConfig::Serial);
+    let out = sys.archive(&sample_dump());
+    let frames = &out.data_frames;
+    assert!(frames.len() >= 8, "want 8 frames, got {}", frames.len());
+    let mut pile = FaultPlan::single(FrameBlankFault).apply(&frames[..4], 0.5, 0xFA11);
+    pile.extend(FaultPlan::single(SaltPepper).apply(&frames[4..8], 0.12, 0xFA12));
+    pile.extend(FaultPlan::single(SaltPepper).apply(&frames[8..], 0.02, 0xFA13));
+
+    let causes = [
+        "border_not_found",
+        "calibration_mismatch",
+        "header_unreadable",
+        "rs_failure",
+    ];
+    let counts = |threads| {
+        let tel = Telemetry::enabled();
+        decode_frames(&sys.medium.geometry, &pile, threads, &tel);
+        let by_cause: Vec<u64> = causes
+            .iter()
+            .map(|c| tel.counter(&format!("decode.fail.{c}")))
+            .collect();
+        (
+            by_cause,
+            tel.counter("decode.frames_failed"),
+            tel.snapshot().counters,
+        )
+    };
+    let (by_cause, failed, serial) = counts(ThreadConfig::Serial);
+    assert_eq!(by_cause.iter().sum::<u64>(), failed, "{by_cause:?}");
+    assert!(
+        by_cause.iter().filter(|&&n| n > 0).count() >= 2,
+        "want at least two causes, got {by_cause:?}"
+    );
+    assert_eq!(counts(ThreadConfig::Fixed(4)).2, serial);
+}
