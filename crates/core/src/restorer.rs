@@ -31,8 +31,10 @@ use ule_dynarisc::programs::{dbdecode, modecode};
 use ule_dynarisc::{ThreadedImage, Vm, VmError};
 use ule_emblem::geometry::RS_K;
 use ule_emblem::header::HEADER_BYTES;
-use ule_emblem::stream::{Slot, StreamPlan};
-use ule_emblem::{decode_stream, decode_stream_traced, EmblemHeader, EmblemKind, StreamError};
+use ule_emblem::stream::{vote_stream_len, Decoded, StreamPlan};
+use ule_emblem::{
+    decode_stream, decode_stream_traced, DecodeStats, EmblemHeader, EmblemKind, StreamError,
+};
 use ule_gf256::crc::crc32_update;
 use ule_obs::Telemetry;
 use ule_par::ThreadConfig;
@@ -329,7 +331,7 @@ impl MicrOlonys {
             &format!("emulated.dispatch.{}", tier_label(tier)),
             scans.len() as u64,
         );
-        let mut decoded: Vec<(EmblemHeader, Vec<u8>)> = Vec::with_capacity(scans.len());
+        let mut decoded: Vec<Decoded> = Vec::with_capacity(scans.len());
         let mut crc = 0xFFFF_FFFFu32;
         for (i, res) in outs.into_iter().enumerate() {
             let (out, steps) = res?;
@@ -351,23 +353,21 @@ impl MicrOlonys {
                 .get(HEADER_BYTES..HEADER_BYTES + header.payload_len as usize)
                 .ok_or(RestoreError::BadHeader(i))?
                 .to_vec();
-            decoded.push((header, payload));
+            decoded.push((header, payload, DecodeStats::default()));
         }
         stats.frame_crc32 = crc ^ 0xFFFF_FFFF;
 
         // Steps 5–6: assemble the DBDecode stream (system emblems) and the
         // data archive. Scans arrive in any order, possibly duplicated,
-        // possibly with frames missing; `assemble_stream` sorts this out
-        // and names any absent frame by its global emblem index.
-        let chunk_cap = boot.nblocks.saturating_mul(RS_K);
-        let sys_bytes =
-            assemble_stream(&decoded, EmblemKind::System, chunk_cap, boot.outer_parity)?;
+        // possibly with frames missing or foreign; `emulated_stream` sorts
+        // this out and names any absent frame by its global emblem index.
+        let sys_bytes = emulated_stream(&boot, &decoded, EmblemKind::System)?;
         let dbdecode_words: Vec<u16> = sys_bytes
             .chunks_exact(2)
             .map(|c| u16::from_le_bytes([c[0], c[1]]))
             .collect();
 
-        let archive = assemble_stream(&decoded, EmblemKind::Data, chunk_cap, boot.outer_parity)?;
+        let archive = emulated_stream(&boot, &decoded, EmblemKind::Data)?;
         stats.archive_bytes = archive.len();
 
         // Run DBDecode on the selected tier over the concatenated stream.
@@ -488,187 +488,51 @@ fn corrupt(msg: &str) -> RestoreError {
     RestoreError::Archive(ArchiveError::Corrupt(msg.to_string()))
 }
 
-/// Reassemble one emblem stream (`kind`) from emulator-decoded emblems,
-/// tolerating arbitrary order, duplicates, and interleaved other-kind
-/// emblems. The emulated path has no outer-code recovery, so *every*
-/// chunk must be present; a shortfall is reported as
-/// [`RestoreError::FrameLoss`] naming the missing frames' global emblem
-/// indices. Chunks are placed through the same
-/// [`StreamPlan`](ule_emblem::stream::StreamPlan) the encoder stamped
-/// headers from, built from the stream length, the Bootstrap's chunk
-/// capacity and its outer-layout line (sequence numbers skip parity slots
-/// when the outer code is on); a length whose layout overflows the 16-bit
-/// emblem index is corruption, refused before any table is sized.
-fn assemble_stream(
-    decoded: &[(EmblemHeader, Vec<u8>)],
+/// One emblem stream from the emulator-decoded frames of its `kind`
+/// (other kinds, parity among them, are skipped), settled by the length
+/// vote and placement of `ule_emblem::stream` under the Bootstrap's
+/// chunk capacity and `outer:` line. This path has no outer-code
+/// recovery: an empty data slot is [`RestoreError::FrameLoss`] naming its
+/// global emblem index. A voted length past the 16-bit emblem index is
+/// corruption, refused before any table is sized.
+fn emulated_stream(
+    boot: &Bootstrap,
+    decoded: &[Decoded],
     kind: EmblemKind,
-    chunk_cap: usize,
-    outer_parity: bool,
 ) -> Result<Vec<u8>, RestoreError> {
-    let items: Vec<&(EmblemHeader, Vec<u8>)> =
-        decoded.iter().filter(|(h, _)| h.kind == kind).collect();
-    if items.is_empty() {
-        // With zero emblems of the kind even the stream length is unknown;
-        // a missing decoder gets its dedicated error, data gets the
-        // minimal truthful report (at least emblem 0 is gone).
-        if kind == EmblemKind::System {
-            return Err(RestoreError::NoDecoder);
-        }
-        return Err(RestoreError::FrameLoss {
-            kind,
-            expected: 1,
-            found: 0,
-            missing: vec![0],
+    let frames = decoded.iter().filter(|(h, _, _)| h.kind == kind);
+    let Some(len) = vote_stream_len(frames.clone().map(|(h, _, _)| h)) else {
+        // With no frame of the kind even the stream length is unknown; a
+        // missing decoder gets its own error, data the minimal truthful
+        // report (at least emblem 0 is gone).
+        return Err(match kind {
+            EmblemKind::System => RestoreError::NoDecoder,
+            _ => RestoreError::FrameLoss {
+                kind,
+                expected: 1,
+                found: 0,
+                missing: vec![0],
+            },
         });
-    }
-    let total = items[0].0.total_len as usize;
-    let plan = StreamPlan::checked(total, chunk_cap, outer_parity).ok_or_else(|| {
+    };
+    let cap = boot.nblocks.saturating_mul(RS_K);
+    let plan = StreamPlan::checked(len as usize, cap, boot.outer_parity).ok_or_else(|| {
         corrupt(&format!(
-            "{kind:?} stream of {total} bytes overflows the 16-bit emblem index"
+            "{kind:?} stream of {len} bytes overflows the 16-bit emblem index"
         ))
     })?;
-    let expected_chunks = plan.data_emblems;
-    let mut chunks: Vec<Option<&[u8]>> = vec![None; expected_chunks];
-    for (h, p) in items {
-        // A header naming no data slot of this layout is malformed;
-        // skipping it keeps garbage from displacing the genuine chunk
-        // (first copy wins) — the slot stays missing instead.
-        if let Some(Slot::Data(c)) = plan.slot_of(h) {
-            chunks[c].get_or_insert(p.as_slice());
-        }
-    }
-    let missing: Vec<usize> = chunks
-        .iter()
-        .enumerate()
-        .filter(|(_, c)| c.is_none())
-        .map(|(c, _)| plan.emission_of(Slot::Data(c)))
-        .collect();
+    let placed = plan.place(frames.cloned());
+    let missing = placed.missing_data();
     if !missing.is_empty() {
         return Err(RestoreError::FrameLoss {
             kind,
-            expected: expected_chunks,
-            found: expected_chunks - missing.len(),
+            expected: plan.data_emblems,
+            found: plan.data_emblems - missing.len(),
             missing,
         });
     }
-    let mut out = Vec::with_capacity(total);
-    for c in &chunks {
-        out.extend_from_slice(c.expect("missing chunks rejected above"));
-    }
-    if out.len() < total {
-        // Every expected emblem arrived but the bytes fall short: an
-        // emblem's payload was truncated, i.e. content corruption rather
-        // than frame loss.
-        return Err(corrupt(&format!(
-            "{kind:?} stream holds {} bytes, headers promise {total}",
-            out.len()
-        )));
-    }
-    out.truncate(total);
-    Ok(out)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use ule_emblem::stream::chunk_global_index;
-
-    /// Synthetic decoded-emblem list: `n_chunks` chunks of `cap` bytes
-    /// (the last one short by `tail_short`), laid out with or without
-    /// outer parity.
-    fn stream(
-        kind: EmblemKind,
-        n_chunks: usize,
-        cap: usize,
-        tail_short: usize,
-        outer_parity: bool,
-    ) -> Vec<(EmblemHeader, Vec<u8>)> {
-        let plan = StreamPlan::new(n_chunks * cap - tail_short, cap, outer_parity);
-        (0..n_chunks)
-            .map(|c| {
-                let h = plan.header(kind, plan.emission_of(Slot::Data(c)));
-                (h, vec![c as u8; h.payload_len as usize])
-            })
-            .collect()
-    }
-
-    #[test]
-    fn parity_layout_index_mapping() {
-        assert_eq!(chunk_global_index(0, true), 0);
-        assert_eq!(chunk_global_index(16, true), 16);
-        // Chunk 17 opens group 1 *after* group 0's three parity emblems.
-        assert_eq!(chunk_global_index(17, true), 20);
-        assert_eq!(chunk_global_index(34, true), 40);
-        assert_eq!(chunk_global_index(17, false), 17);
-    }
-
-    #[test]
-    fn multi_group_parity_stream_assembles() {
-        // 20 chunks span two groups; under the parity layout the second
-        // group's indices are shifted by 3 — the dense-index assumption
-        // this used to hide.
-        let decoded = stream(EmblemKind::Data, 20, 8, 3, true);
-        let out = assemble_stream(&decoded, EmblemKind::Data, 8, true).unwrap();
-        assert_eq!(out.len(), 20 * 8 - 3);
-        assert_eq!(out[17 * 8], 17, "group-1 chunks land at the right offset");
-    }
-
-    #[test]
-    fn missing_chunks_named_by_global_index() {
-        let mut decoded = stream(EmblemKind::Data, 20, 8, 0, true);
-        decoded.remove(18); // chunk 18 = global emblem index 21
-        decoded.remove(2); // chunk 2 = global emblem index 2
-        match assemble_stream(&decoded, EmblemKind::Data, 8, true) {
-            Err(RestoreError::FrameLoss {
-                kind,
-                expected,
-                found,
-                missing,
-            }) => {
-                assert_eq!(kind, EmblemKind::Data);
-                assert_eq!(expected, 20);
-                assert_eq!(found, 18);
-                assert_eq!(missing, vec![2, 21]);
-            }
-            other => panic!("expected FrameLoss, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn duplicates_and_shuffle_are_harmless() {
-        let mut decoded = stream(EmblemKind::System, 5, 4, 1, false);
-        let dup = decoded[3].clone();
-        decoded.push(dup);
-        decoded.reverse();
-        let out = assemble_stream(&decoded, EmblemKind::System, 4, false).unwrap();
-        assert_eq!(out.len(), 19);
-        assert_eq!(out[0], 0);
-        assert_eq!(out[16], 4);
-    }
-
-    #[test]
-    fn truncated_payload_is_corruption_not_frame_loss() {
-        let mut decoded = stream(EmblemKind::Data, 3, 6, 0, false);
-        decoded[1].1.truncate(2); // chunk present, bytes short
-        match assemble_stream(&decoded, EmblemKind::Data, 6, false) {
-            Err(RestoreError::Archive(ArchiveError::Corrupt(_))) => {}
-            other => panic!("expected Corrupt, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn empty_kind_reports_no_decoder_or_loss() {
-        let decoded = stream(EmblemKind::Data, 2, 4, 0, false);
-        assert!(matches!(
-            assemble_stream(&decoded, EmblemKind::System, 4, false),
-            Err(RestoreError::NoDecoder)
-        ));
-        let decoded = stream(EmblemKind::System, 2, 4, 0, false);
-        assert!(matches!(
-            assemble_stream(&decoded, EmblemKind::Data, 4, false),
-            Err(RestoreError::FrameLoss { missing, .. }) if missing == vec![0]
-        ));
-    }
+    // Every data slot is filled, so recovery only concatenates.
+    Ok(placed.recover(&Telemetry::off())?.0)
 }
 
 /// The MODecode parameter block for one scan. Every field is a 16-bit

@@ -11,10 +11,13 @@
 //!
 //! [`StreamPlan`] is the only code that knows how payload chunks map to
 //! emission slots and headers: the encoder stamps [`StreamPlan::header`],
-//! the native decoder here, the emulated assembler in `micr_olonys` and
-//! the vault's reel layout all place or derive frames through it, and
-//! [`StreamPlan::assemble`] is the one outer-code recovery behind both
-//! the native decoder and the vault's whole-stream reads.
+//! and every reader — the native decoder here, the emulated restorer in
+//! `micr_olonys` and the vault — places a frame through
+//! [`StreamPlan::slot_of`], which admits only the exact header stamped at
+//! the index it names. [`vote_stream_len`] is the one stream-length vote,
+//! [`StreamPlan::place`] the one placement, and [`Placement::recover`] the
+//! one outer-code recovery, behind both the native decoder and the
+//! vault's whole-stream reads.
 
 use crate::decode::{decode_emblem, DecodeError, DecodeStats};
 use crate::encode::encode_emblem;
@@ -37,7 +40,7 @@ pub const GROUP_PARITY: usize = 3;
 /// with the outer code on, every group of [`GROUP_DATA`] chunks (the last
 /// group may be short) is followed by its [`GROUP_PARITY`] parity
 /// emblems, and one global index numbers every emission in that order.
-/// The encoder stamps [`StreamPlan::header`]; decoders place a scan
+/// The encoder stamps [`StreamPlan::header`]; readers place a frame
 /// through [`StreamPlan::slot_of`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct StreamPlan {
@@ -155,23 +158,22 @@ impl StreamPlan {
         )
     }
 
-    /// The slot a decoded header names, or `None` for every
-    /// (kind, group, index) combination this layout never produces — a
-    /// damaged-but-checksum-colliding header, or a scan from another
-    /// stream, must not land in (or clobber) a genuine slot. Payload and
-    /// stream lengths are not checked here.
+    /// The slot whose stamped header is exactly `header` — index, group,
+    /// parity-vs-data, payload length and stream length — or `None`: a
+    /// damaged-but-checksum-colliding header, a frame from another stream
+    /// or a forged payload length must not land in (or clobber) a genuine
+    /// slot. Which data kind (system, index, data, …) a stream carries is
+    /// the caller's check.
     pub fn slot_of(&self, header: &EmblemHeader) -> Option<Slot> {
         let emission = header.index as usize;
-        if emission >= self.total_emblems() {
-            return None;
-        }
-        let slot = self.slot_at(emission);
-        let (group, parity) = match slot {
-            Slot::Data(c) => (c / GROUP_DATA, false),
-            Slot::Parity { group, .. } => (group, true),
+        // A data slot is stamped with the caller's kind; any non-parity
+        // kind stands in for it.
+        let kind = match header.kind {
+            EmblemKind::Parity => EmblemKind::Data,
+            kind => kind,
         };
-        (header.group as usize == group && (header.kind == EmblemKind::Parity) == parity)
-            .then_some(slot)
+        (emission < self.total_emblems() && *header == self.header(kind, emission))
+            .then(|| self.slot_at(emission))
     }
 }
 
@@ -429,9 +431,9 @@ pub fn decode_stream(
 
 /// [`decode_stream`] with the per-scan pipeline fanned out across
 /// `threads` workers, plus telemetry: [`decode_frames`] decodes every
-/// scan, the stream's layout is inferred from the decoded headers, each
-/// payload is placed at the slot its header names, and
-/// [`StreamPlan::assemble`] runs the outer code.
+/// scan, [`vote_stream_len`] settles the stream length, the layout is
+/// inferred from the decoded headers, [`StreamPlan::place`] places each
+/// payload and [`Placement::recover`] runs the outer code.
 ///
 /// The outer-code erasure recovery and reassembly run after the join and
 /// consume per-scan results in input order, so payload bytes and
@@ -447,51 +449,29 @@ pub fn decode_stream_traced<S: Borrow<GrayImage> + Sync>(
     // Individual decode; tolerate per-scan failures (the outer code's job).
     let results = decode_frames(geom, scans, threads, tel);
     let failed = results.iter().filter(|r| r.is_err()).count();
-    let mut decoded: Vec<Decoded> = results.into_iter().flatten().collect();
-    if decoded.is_empty() {
-        return Err(StreamError::NoEmblems);
-    }
-    // The length most decoded frames carry wins (a tie goes to the earliest
-    // in scan order, so every thread count agrees); a frame naming another
-    // length, e.g. one spliced in from another archive, is a failed scan.
-    let mut tally = std::collections::BTreeMap::new();
-    for (i, (h, _, _)) in decoded.iter().enumerate() {
-        tally.entry(h.total_len).or_insert((0, Reverse(i))).0 += 1;
-    }
-    let (total_len, (votes, _)) = tally
-        .into_iter()
-        .max_by_key(|&(_, v)| v)
-        .expect("at least one frame decoded");
-    let failed = failed + decoded.len() - votes;
-    decoded.retain(|(h, _, _)| h.total_len == total_len);
+    let decoded: Vec<Decoded> = results.into_iter().flatten().collect();
+    let total_len =
+        vote_stream_len(decoded.iter().map(|(h, _, _)| h)).ok_or(StreamError::NoEmblems)?;
 
-    // Did this stream carry outer parity? Surviving parity emblems say so
-    // directly; failing that, a data emblem whose header has a slot under
-    // the parity layout but none under the dense one betrays the parity
-    // slots even when every parity frame was lost. The two-sided check
-    // matters: a damaged-but-checksum-colliding header with an arbitrary
-    // out-of-range index must not flip an intact dense stream into the
-    // parity layout (it has no slot under either and `assemble` counts it
-    // as a failed scan). Residual blind spot: a stream that lost all its
-    // parity frames and every layout-disambiguating data emblem looks
-    // parity-less; group-0 emblems never disambiguate (both layouts agree
-    // there). Mis-inference can only misreport FrameLoss details or fail
-    // a group whose parity is entirely gone — never silently corrupt the
-    // success path. A length whose layout overflows the 16-bit emblem
-    // index is no stream any encoder wrote.
-    let cap = geom.payload_capacity();
-    let checked = |with_parity| {
-        StreamPlan::checked(total_len as usize, cap, with_parity)
-            .ok_or(StreamError::InconsistentHeaders)
-    };
-    let dense = checked(false)?;
-    let outer = checked(true);
-    let had_parity = decoded.iter().any(|(h, _, _)| {
-        h.kind == EmblemKind::Parity
-            || (outer.as_ref().is_ok_and(|p| p.slot_of(h).is_some()) && dense.slot_of(h).is_none())
-    });
-    let plan = if had_parity { outer? } else { dense };
-    let (out, placed) = plan.assemble(decoded, tel)?;
+    // Did this stream carry outer parity? A frame with a slot under the
+    // parity layout but none under the dense one says so: any surviving
+    // parity emblem or, with all of them lost, a data emblem past group 0.
+    // A checksum-colliding header has a slot under neither, so it cannot
+    // flip an intact dense stream. A stream that lost all its parity and
+    // every data emblem past group 0 looks dense, which can only misreport
+    // FrameLoss details or fail a group whose parity is gone — never
+    // corrupt the success path. A length whose layout overflows the
+    // 16-bit emblem index is no stream any encoder wrote.
+    let (len, cap) = (total_len as usize, geom.payload_capacity());
+    let dense = StreamPlan::checked(len, cap, false).ok_or(StreamError::InconsistentHeaders)?;
+    let plan = StreamPlan::checked(len, cap, true)
+        .filter(|outer| {
+            let betrays =
+                |h: &EmblemHeader| outer.slot_of(h).is_some() && dense.slot_of(h).is_none();
+            decoded.iter().any(|(h, _, _)| betrays(h))
+        })
+        .unwrap_or(dense);
+    let (out, placed) = plan.place(decoded).recover(tel)?;
     let stats = StreamStats {
         scans: scans.len(),
         failed_scans: failed + placed.failed_scans,
@@ -500,38 +480,82 @@ pub fn decode_stream_traced<S: Borrow<GrayImage> + Sync>(
     Ok((out, stats))
 }
 
+/// The one stream-length vote: the `total_len` most of `headers` carry,
+/// a tie going to the earliest such header in scan order (so every
+/// thread count agrees); `None` for no headers. A frame naming another
+/// length, e.g. one spliced in from another archive, then takes no slot
+/// of the voted plan ([`StreamPlan::slot_of`]): it is a failed scan.
+pub fn vote_stream_len<'a>(headers: impl IntoIterator<Item = &'a EmblemHeader>) -> Option<u32> {
+    let mut tally = std::collections::BTreeMap::new();
+    for (i, h) in headers.into_iter().enumerate() {
+        tally.entry(h.total_len).or_insert((0usize, Reverse(i))).0 += 1;
+    }
+    tally
+        .into_iter()
+        .max_by_key(|&(_, v)| v)
+        .map(|(len, _)| len)
+}
+
+/// Decoded frames placed in the slots of one [`StreamPlan`]
+/// ([`StreamPlan::place`]), ready for [`Placement::recover`].
+#[derive(Debug)]
+pub struct Placement<'p> {
+    plan: &'p StreamPlan,
+    chunks: Vec<Option<Vec<u8>>>,
+    parity: Vec<Vec<Option<Vec<u8>>>>,
+    /// The given frames' inner-RS corrections, and the frames no slot
+    /// admitted as failed scans (`scans` is left to the caller).
+    stats: StreamStats,
+}
+
 impl StreamPlan {
-    /// The placement-and-outer-code half of the stream decoder: each
-    /// decoded payload lands at the slot its header names (first copy
-    /// wins; a header naming no slot of this layout is a failed scan, so
-    /// it cannot clobber a genuine slot), then each group's missing
-    /// chunks come back through the outer code. The returned
-    /// [`StreamStats`] leaves `scans` to the caller and counts only the
-    /// given frames: their inner-RS corrections, the unplaced ones as
-    /// failed scans, and the outer code's work.
-    pub fn assemble(
-        &self,
-        frames: impl IntoIterator<Item = Decoded>,
-        tel: &Telemetry,
-    ) -> Result<(Vec<u8>, StreamStats), StreamError> {
-        let mut stats = StreamStats::default();
-        let mut chunks: Vec<Option<Vec<u8>>> = vec![None; self.data_emblems];
-        let mut parity: Vec<Vec<Option<Vec<u8>>>> = vec![vec![None; GROUP_PARITY]; self.groups()];
+    /// Place decoded frames: a payload lands at the slot
+    /// [`StreamPlan::slot_of`] admits its header to, if it is the length
+    /// that header promises (first copy wins); any other frame is a
+    /// failed scan, so it cannot clobber a genuine slot.
+    pub fn place(&self, frames: impl IntoIterator<Item = Decoded>) -> Placement<'_> {
+        let mut placed = Placement {
+            plan: self,
+            chunks: vec![None; self.data_emblems],
+            parity: vec![vec![None; GROUP_PARITY]; self.groups()],
+            stats: StreamStats::default(),
+        };
         for (h, payload, ds) in frames {
-            stats.rs_corrected += ds.rs_corrected;
-            match self.slot_of(&h) {
-                Some(Slot::Data(c)) => chunks[c].get_or_insert(payload),
-                Some(Slot::Parity { group, pos }) => parity[group][pos].get_or_insert(payload),
+            placed.stats.rs_corrected += ds.rs_corrected;
+            match self
+                .slot_of(&h)
+                .filter(|_| payload.len() == h.payload_len as usize)
+            {
+                Some(Slot::Data(c)) => placed.chunks[c].get_or_insert(payload),
+                Some(Slot::Parity { group, pos }) => {
+                    placed.parity[group][pos].get_or_insert(payload)
+                }
                 None => {
-                    stats.failed_scans += 1;
+                    placed.stats.failed_scans += 1;
                     continue;
                 }
             };
         }
+        placed
+    }
+}
 
-        // Per-group erasure recovery.
-        for (group, group_parity) in parity.iter().enumerate() {
-            let members = self.group_chunks(group);
+impl Placement<'_> {
+    /// The emission indices of the data slots no frame filled, in order.
+    pub fn missing_data(&self) -> Vec<usize> {
+        (0..self.chunks.len())
+            .filter(|&c| self.chunks[c].is_none())
+            .map(|c| self.plan.emission_of(Slot::Data(c)))
+            .collect()
+    }
+
+    /// Bring each group's missing chunks back through the outer code and
+    /// concatenate the stream. The returned [`StreamStats`] adds the outer
+    /// code's work to the placement's.
+    pub fn recover(self, tel: &Telemetry) -> Result<(Vec<u8>, StreamStats), StreamError> {
+        let (plan, mut chunks, mut stats) = (self.plan, self.chunks, self.stats);
+        for (group, group_parity) in self.parity.iter().enumerate() {
+            let members = plan.group_chunks(group);
             let (base, in_group) = (members.start, members.len());
             let missing: Vec<usize> = (0..in_group)
                 .filter(|&i| chunks[base + i].is_none())
@@ -548,14 +572,14 @@ impl StreamPlan {
                 // are not lost frames, they never existed.
                 let mut absent: Vec<u16> = missing
                     .iter()
-                    .map(|&i| self.emission_of(Slot::Data(base + i)) as u16)
+                    .map(|&i| plan.emission_of(Slot::Data(base + i)) as u16)
                     .collect();
                 let mut expected = in_group;
-                if self.with_parity() {
+                if plan.with_parity() {
                     expected += GROUP_PARITY;
                     for (pos, p) in group_parity.iter().enumerate() {
                         if p.is_none() {
-                            absent.push(self.emission_of(Slot::Parity { group, pos }) as u16);
+                            absent.push(plan.emission_of(Slot::Parity { group, pos }) as u16);
                         }
                     }
                 }
@@ -576,7 +600,7 @@ impl StreamPlan {
             stats.erasure_frames += erased;
             let _recovery = tel.span("scan.decode.outer_recovery");
             let (solved, outer_corrected) = RsCode::new(in_group + GROUP_PARITY, in_group)
-                .recover(&streams, self.chunk_size)
+                .recover(&streams, plan.chunk_size)
                 .map_err(|_| StreamError::TooManyMissing {
                     group: group as u16,
                     missing: erased,
@@ -588,7 +612,7 @@ impl StreamPlan {
             // logical length (only the stream's final chunk is short).
             for (m, mut c) in missing.into_iter().zip(solved) {
                 let chunk_no = base + m;
-                c.truncate(self.chunk_range(chunk_no).len());
+                c.truncate(plan.chunk_range(chunk_no).len());
                 chunks[chunk_no] = Some(c);
                 stats.emblems_recovered += 1;
             }
@@ -597,11 +621,11 @@ impl StreamPlan {
         tel.add("decode.emblems_recovered", stats.emblems_recovered as u64);
 
         // Concatenate.
-        let mut out = Vec::with_capacity(self.total_len);
+        let mut out = Vec::with_capacity(plan.total_len);
         for c in chunks {
             out.extend_from_slice(&c.expect("all chunks present after recovery"));
         }
-        out.truncate(self.total_len);
+        out.truncate(plan.total_len);
         Ok((out, stats))
     }
 }
@@ -622,8 +646,8 @@ pub fn stream_crc32(images: &[GrayImage]) -> u32 {
 /// Global emblem index of stream chunk `chunk` (a data/system emblem's
 /// position in its stream): with the outer code on, every group of
 /// [`GROUP_DATA`] chunks is followed by [`GROUP_PARITY`] parity emblems
-/// that share the numbering. This is *the* frozen index layout — the
-/// restorer's emulated path maps sequence numbers through it too.
+/// that share the numbering. This is *the* frozen index layout: every
+/// [`StreamPlan`] places its groups through it.
 pub fn chunk_global_index(chunk: usize, with_parity: bool) -> usize {
     if with_parity {
         (chunk / GROUP_DATA) * (GROUP_DATA + GROUP_PARITY) + chunk % GROUP_DATA
@@ -646,6 +670,31 @@ mod tests {
             .collect()
     }
 
+    /// Decoded data frames of a synthetic stream, no pixels: `n_chunks`
+    /// chunks of `cap` bytes (the last one short by `tail_short`), chunk
+    /// `c` filled with byte `c`, stamped by the plan with or without
+    /// outer parity (its parity frames are left out).
+    fn frames(
+        kind: EmblemKind,
+        n_chunks: usize,
+        cap: usize,
+        tail_short: usize,
+        outer_parity: bool,
+    ) -> (StreamPlan, Vec<Decoded>) {
+        let plan = StreamPlan::new(n_chunks * cap - tail_short, cap, outer_parity);
+        let frames = (0..n_chunks)
+            .map(|c| {
+                let h = plan.header(kind, plan.emission_of(Slot::Data(c)));
+                (
+                    h,
+                    vec![c as u8; h.payload_len as usize],
+                    DecodeStats::default(),
+                )
+            })
+            .collect();
+        (plan, frames)
+    }
+
     #[test]
     fn plan_counts() {
         let g = geom();
@@ -658,6 +707,13 @@ mod tests {
         assert_eq!(p.parity_emblems, 6);
         let p = plan(&g, cap * 5, false);
         assert_eq!(p.parity_emblems, 0);
+        // The frozen index layout: chunk 17 opens group 1 *after* group
+        // 0's three parity emblems.
+        assert_eq!(chunk_global_index(0, true), 0);
+        assert_eq!(chunk_global_index(16, true), 16);
+        assert_eq!(chunk_global_index(17, true), 20);
+        assert_eq!(chunk_global_index(34, true), 40);
+        assert_eq!(chunk_global_index(17, false), 17);
     }
 
     #[test]
@@ -678,6 +734,16 @@ mod tests {
                         assert_eq!((h.index as usize, h.total_len as usize), (e, len));
                         let slot = p.slot_of(&h).expect("stamped header has a slot");
                         assert_eq!(p.emission_of(slot), e);
+                        // Only the exact stamped header: one byte more or
+                        // less of payload or stream names no slot.
+                        for (dp, dt) in [(1, 0), (-1, 0), (0, 1), (0, -1)] {
+                            let forged = EmblemHeader {
+                                payload_len: h.payload_len.wrapping_add_signed(dp),
+                                total_len: h.total_len.wrapping_add_signed(dt),
+                                ..h
+                            };
+                            assert_eq!(p.slot_of(&forged), None, "{forged:?}");
+                        }
                         match slot {
                             Slot::Data(c) => {
                                 assert_eq!((h.kind, c), (EmblemKind::Index, next_chunk));
@@ -704,7 +770,15 @@ mod tests {
                         };
                         for group in 0..p.groups() as u16 + 2 {
                             for index in 0..p.total_emblems() as u16 + 25 {
-                                let h = EmblemHeader::new(kind, index, group, 1, len as u32);
+                                let payload_len = (usize::from(index) < p.total_emblems())
+                                    .then(|| p.header(kind, index.into()).payload_len);
+                                let h = EmblemHeader::new(
+                                    kind,
+                                    index,
+                                    group,
+                                    payload_len.unwrap_or(1),
+                                    len as u32,
+                                );
                                 assert_eq!(
                                     p.slot_of(&h).is_some(),
                                     produced.contains(&(parity, group, index)),
@@ -786,6 +860,24 @@ mod tests {
         }
     }
 
+    /// The length most frames carry wins wherever a foreign frame sits,
+    /// and the foreign frame takes no slot of the voted plan; no frames,
+    /// no length.
+    #[test]
+    fn stream_length_vote_goes_to_the_majority() {
+        assert_eq!(vote_stream_len([]), None);
+        let (_, one) = frames(EmblemKind::Data, 1, 4, 1, false);
+        let (plan, two) = frames(EmblemKind::Data, 2, 4, 0, false);
+        for pile in [[&one, &two], [&two, &one]] {
+            let pile: Vec<Decoded> = pile.into_iter().flatten().cloned().collect();
+            assert_eq!(vote_stream_len(pile.iter().map(|(h, _, _)| h)), Some(8));
+            let placed = plan.place(pile);
+            assert_eq!(placed.stats.failed_scans, 1);
+            assert!(placed.missing_data().is_empty());
+        }
+        assert_eq!(vote_stream_len([&one[0].0]), Some(3));
+    }
+
     #[test]
     fn multi_emblem_stream_roundtrip() {
         let g = geom();
@@ -840,6 +932,18 @@ mod tests {
         }
     }
 
+    /// Placement alone names absent data slots by global emblem index
+    /// across groups: chunk 18 is emission 21 under the outer layout.
+    #[test]
+    fn placement_names_missing_data_slots_by_global_index() {
+        let (p, mut decoded) = frames(EmblemKind::Data, 20, 8, 0, true);
+        decoded.remove(18);
+        decoded.remove(2);
+        let placed = p.place(decoded);
+        assert_eq!(placed.stats.failed_scans, 0);
+        assert_eq!(placed.missing_data(), vec![2, 21]);
+    }
+
     #[test]
     fn unordered_and_duplicated_scans_ok() {
         let g = geom();
@@ -850,6 +954,38 @@ mod tests {
         images.push(dup);
         let (out, _) = decode_stream(&g, &images).unwrap();
         assert_eq!(out, data);
+        // The same for decoded frames placed directly: a duplicate and a
+        // reversed order change nothing, and the short tail chunk ends the
+        // stream.
+        let (p, mut decoded) = frames(EmblemKind::System, 5, 4, 1, false);
+        decoded.push(decoded[3].clone());
+        decoded.reverse();
+        let placed = p.place(decoded);
+        assert_eq!(placed.stats.failed_scans, 0);
+        let (out, _) = placed.recover(&Telemetry::off()).unwrap();
+        assert_eq!(out.len(), 19);
+        assert_eq!((out[0], out[16], out[18]), (0, 4, 4));
+    }
+
+    /// A chunk whose payload is shorter than its slot is not placed: its
+    /// slot stays missing (frame loss), never a short, shifted stream —
+    /// whether the header still promises the full chunk or was forged to
+    /// promise the short one.
+    #[test]
+    fn truncated_payload_leaves_its_slot_missing() {
+        let (p, mut decoded) = frames(EmblemKind::Data, 3, 6, 0, false);
+        decoded[1].1.truncate(2); // chunk present, bytes short
+        let mut forged = decoded.clone();
+        forged[1].0.payload_len = 2;
+        for pile in [decoded, forged] {
+            let placed = p.place(pile);
+            assert_eq!(placed.stats.failed_scans, 1);
+            assert_eq!(placed.missing_data(), vec![1]);
+            assert!(matches!(
+                placed.recover(&Telemetry::off()),
+                Err(StreamError::FrameLoss { missing, .. }) if missing == vec![1]
+            ));
+        }
     }
 
     #[test]
@@ -924,6 +1060,12 @@ mod tests {
         let (out, stats) = decode_stream(&g, &kept).unwrap();
         assert_eq!(out, data);
         assert_eq!(stats.emblems_recovered, 0);
+        // Decoded data frames alone, placed under the outer layout: the
+        // second group's indices skip group 0's parity slots.
+        let (p, decoded) = frames(EmblemKind::Data, 20, 8, 3, true);
+        let (out, _) = p.place(decoded).recover(&Telemetry::off()).unwrap();
+        assert_eq!(out.len(), 20 * 8 - 3);
+        assert_eq!(out[17 * 8], 17, "group-1 chunks land at the right offset");
     }
 
     #[test]

@@ -8,7 +8,9 @@
 use crate::runner::FuzzTarget;
 use ule_compress::container::Scheme;
 use ule_dynarisc::{ThreadedImage, Vm, VmError};
-use ule_emblem::{EmblemGeometry, EmblemHeader, EmblemKind};
+use ule_emblem::stream::{vote_stream_len, Decoded, StreamPlan};
+use ule_emblem::{DecodeStats, EmblemGeometry, EmblemHeader, EmblemKind};
+use ule_obs::Telemetry;
 use ule_raster::image::GrayImage;
 use ule_raster::rng::SplitMix64;
 use ule_verisc::{Engine, EngineKind};
@@ -324,6 +326,89 @@ impl FuzzTarget for EmblemStream {
             return;
         }
         let _ = ule_emblem::decode_stream(&geom, &frames);
+    }
+}
+
+/// The stream-length vote, placement and outer recovery over forged
+/// decoded frames, no pixels. Byte 0 picks the chunk capacity (1..=64),
+/// byte 1's low bit the outer code; then one frame per 11-byte record:
+/// kind (low 3 bits) and a payload shortfall (high 5 bits), then index,
+/// group and payload length (`u16` each) and stream length (`u32`), all
+/// little-endian. The payload is the length the header promises, less
+/// the shortfall.
+struct StreamPlace;
+
+impl StreamPlace {
+    /// Records decoded per input, at most.
+    const MAX_FRAMES: usize = 96;
+    const RECORD: usize = 11;
+
+    fn frames(records: &[u8]) -> Vec<Decoded> {
+        use EmblemKind::*;
+        records
+            .chunks_exact(Self::RECORD)
+            .take(Self::MAX_FRAMES)
+            .map(|r| {
+                let word = |i: usize| u16::from_le_bytes([r[i], r[i + 1]]);
+                let kind = [Data, System, Parity, Index, ReelParity][usize::from(r[0] & 7) % 5];
+                let total_len = u32::from_le_bytes([r[7], r[8], r[9], r[10]]);
+                let header = EmblemHeader::new(kind, word(1), word(3), word(5).into(), total_len);
+                let len = usize::from(word(5)).saturating_sub(usize::from(r[0] >> 3));
+                (header, vec![r[1]; len.min(256)], DecodeStats::default())
+            })
+            .collect()
+    }
+}
+
+impl FuzzTarget for StreamPlace {
+    fn name(&self) -> &'static str {
+        "stream-place"
+    }
+    fn corpus(&self) -> Vec<Vec<u8>> {
+        // Whole streams as the encoder stamps them: one dense, one of two
+        // outer groups with a short tail chunk.
+        [(false, 7usize, 40usize), (true, 5, 117)]
+            .into_iter()
+            .map(|(parity, cap, len)| {
+                let plan = StreamPlan::new(len, cap, parity);
+                let mut input = vec![cap as u8 - 1, u8::from(parity)];
+                for e in 0..plan.total_emblems() {
+                    let h = plan.header(EmblemKind::Data, e);
+                    input.push(h.kind as u8);
+                    input.extend(h.index.to_le_bytes());
+                    input.extend(h.group.to_le_bytes());
+                    input.extend((h.payload_len as u16).to_le_bytes());
+                    input.extend(h.total_len.to_le_bytes());
+                }
+                input
+            })
+            .collect()
+    }
+    fn suggested_iterations(&self) -> u64 {
+        20_000
+    }
+    fn run(&self, input: &[u8]) {
+        let [cap, flags, records @ ..] = input else {
+            return;
+        };
+        let frames = Self::frames(records);
+        let Some(len) = vote_stream_len(frames.iter().map(|(h, _, _)| h)) else {
+            return;
+        };
+        let cap = usize::from(cap % 64) + 1;
+        let Some(plan) = StreamPlan::checked(len as usize, cap, flags & 1 == 1) else {
+            return;
+        };
+        let placed = plan.place(frames);
+        let complete = placed.missing_data().is_empty();
+        match placed.recover(&Telemetry::off()) {
+            Ok((bytes, _)) => assert_eq!(
+                bytes.len(),
+                len as usize,
+                "assembled stream is not the voted length"
+            ),
+            Err(e) => assert!(!complete, "every data slot placed, yet {e}"),
+        }
     }
 }
 
@@ -805,6 +890,7 @@ pub fn all_targets() -> Vec<Box<dyn FuzzTarget>> {
         Box::new(ManchesterCells),
         Box::new(EmblemFrame),
         Box::new(EmblemStream),
+        Box::new(StreamPlace),
         Box::new(CatalogIndex),
         Box::new(VaultRecords),
         Box::new(BootstrapDoc),

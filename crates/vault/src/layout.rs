@@ -62,8 +62,8 @@ pub struct FrameInfo {
 pub(crate) enum Stamp<'a> {
     /// A positional read at `(reel, offset)`: exactly `header_at` there.
     At(EmblemHeader),
-    /// An order-tolerant whole-stream read: the header `plan` stamps on
-    /// the emission the frame's own header names.
+    /// An order-tolerant whole-stream read: a header of `kind` or a parity
+    /// header that `plan` places ([`StreamPlan::slot_of`]).
     Stream(&'a StreamPlan, EmblemKind),
 }
 
@@ -72,8 +72,7 @@ impl Stamp<'_> {
         match *self {
             Stamp::At(stamped) => *h == stamped,
             Stamp::Stream(plan, kind) => {
-                let emission = h.index as usize;
-                emission < plan.total_emblems() && *h == plan.header(kind, emission)
+                plan.slot_of(h).is_some() && (h.kind == kind || h.kind == EmblemKind::Parity)
             }
         }
     }

@@ -977,7 +977,7 @@ impl Vault {
             .map(|&p| (source.get(layout.reel_of(p)), stamp))
             .collect();
         let accepted = self.frame_verdicts(&frames, tel).into_iter().flatten();
-        let (bytes, s) = plan.assemble(accepted, tel)?;
+        let (bytes, s) = plan.place(accepted).recover(tel)?;
         stats.corrected_symbols += s.rs_corrected;
         stats.erasure_frames += s.erasure_frames;
         Ok(bytes)
