@@ -361,13 +361,14 @@ impl MicrOlonys {
         // data archive. Scans arrive in any order, possibly duplicated,
         // possibly with frames missing or foreign; `emulated_stream` sorts
         // this out and names any absent frame by its global emblem index.
-        let sys_bytes = emulated_stream(&boot, &decoded, EmblemKind::System)?;
+        let cap = boot.nblocks.saturating_mul(RS_K);
+        let sys_bytes = emulated_stream(&decoded, EmblemKind::System, cap, boot.outer_parity)?;
         let dbdecode_words: Vec<u16> = sys_bytes
             .chunks_exact(2)
             .map(|c| u16::from_le_bytes([c[0], c[1]]))
             .collect();
 
-        let archive = emulated_stream(&boot, &decoded, EmblemKind::Data)?;
+        let archive = emulated_stream(&decoded, EmblemKind::Data, cap, boot.outer_parity)?;
         stats.archive_bytes = archive.len();
 
         // Run DBDecode on the selected tier over the concatenated stream.
@@ -491,14 +492,15 @@ fn corrupt(msg: &str) -> RestoreError {
 /// One emblem stream from the emulator-decoded frames of its `kind`
 /// (other kinds, parity among them, are skipped), settled by the length
 /// vote and placement of `ule_emblem::stream` under the Bootstrap's
-/// chunk capacity and `outer:` line. This path has no outer-code
+/// chunk capacity `cap` and `outer:` line. This path has no outer-code
 /// recovery: an empty data slot is [`RestoreError::FrameLoss`] naming its
 /// global emblem index. A voted length past the 16-bit emblem index is
 /// corruption, refused before any table is sized.
 fn emulated_stream(
-    boot: &Bootstrap,
     decoded: &[Decoded],
     kind: EmblemKind,
+    cap: usize,
+    outer_parity: bool,
 ) -> Result<Vec<u8>, RestoreError> {
     let frames = decoded.iter().filter(|(h, _, _)| h.kind == kind);
     let Some(len) = vote_stream_len(frames.clone().map(|(h, _, _)| h)) else {
@@ -515,8 +517,7 @@ fn emulated_stream(
             },
         });
     };
-    let cap = boot.nblocks.saturating_mul(RS_K);
-    let plan = StreamPlan::checked(len as usize, cap, boot.outer_parity).ok_or_else(|| {
+    let plan = StreamPlan::checked(len as usize, cap, outer_parity).ok_or_else(|| {
         corrupt(&format!(
             "{kind:?} stream of {len} bytes overflows the 16-bit emblem index"
         ))
@@ -616,4 +617,97 @@ fn run_modecode_hosted(
         return Err(RestoreError::DecoderStatus(status));
     }
     Ok((layout::read_output(&mem, out_base), steps))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ule_emblem::stream::{chunk_global_index, Slot};
+
+    /// Synthetic decoded-emblem list: `n_chunks` chunks of `cap` bytes
+    /// (the last one short by `tail_short`), laid out with or without
+    /// outer parity.
+    fn stream(
+        kind: EmblemKind,
+        n_chunks: usize,
+        cap: usize,
+        tail_short: usize,
+        outer_parity: bool,
+    ) -> Vec<Decoded> {
+        let plan = StreamPlan::new(n_chunks * cap - tail_short, cap, outer_parity);
+        (0..n_chunks)
+            .map(|c| {
+                let h = plan.header(kind, plan.emission_of(Slot::Data(c)));
+                let payload = vec![c as u8; h.payload_len as usize];
+                (h, payload, DecodeStats::default())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn parity_layout_index_mapping() {
+        assert_eq!(chunk_global_index(0, true), 0);
+        assert_eq!(chunk_global_index(16, true), 16);
+        // Chunk 17 opens group 1 *after* group 0's three parity emblems.
+        assert_eq!(chunk_global_index(17, true), 20);
+        assert_eq!(chunk_global_index(34, true), 40);
+        assert_eq!(chunk_global_index(17, false), 17);
+    }
+
+    #[test]
+    fn multi_group_parity_stream_assembles() {
+        // 20 chunks span two groups; under the parity layout the second
+        // group's indices are shifted by 3.
+        let decoded = stream(EmblemKind::Data, 20, 8, 3, true);
+        let out = emulated_stream(&decoded, EmblemKind::Data, 8, true).unwrap();
+        assert_eq!(out.len(), 20 * 8 - 3);
+        assert_eq!(out[17 * 8], 17, "group-1 chunks land at the right offset");
+    }
+
+    #[test]
+    fn missing_chunks_named_by_global_index() {
+        let mut decoded = stream(EmblemKind::Data, 20, 8, 0, true);
+        decoded.remove(18); // chunk 18 = global emblem index 21
+        decoded.remove(2); // chunk 2 = global emblem index 2
+        match emulated_stream(&decoded, EmblemKind::Data, 8, true) {
+            Err(RestoreError::FrameLoss {
+                kind,
+                expected,
+                found,
+                missing,
+            }) => {
+                assert_eq!(kind, EmblemKind::Data);
+                assert_eq!(expected, 20);
+                assert_eq!(found, 18);
+                assert_eq!(missing, vec![2, 21]);
+            }
+            other => panic!("expected FrameLoss, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn duplicates_and_shuffle_are_harmless() {
+        let mut decoded = stream(EmblemKind::System, 5, 4, 1, false);
+        let dup = decoded[3].clone();
+        decoded.push(dup);
+        decoded.reverse();
+        let out = emulated_stream(&decoded, EmblemKind::System, 4, false).unwrap();
+        assert_eq!(out.len(), 19);
+        assert_eq!(out[0], 0);
+        assert_eq!(out[16], 4);
+    }
+
+    #[test]
+    fn empty_kind_reports_no_decoder_or_loss() {
+        let decoded = stream(EmblemKind::Data, 2, 4, 0, false);
+        assert!(matches!(
+            emulated_stream(&decoded, EmblemKind::System, 4, false),
+            Err(RestoreError::NoDecoder)
+        ));
+        let decoded = stream(EmblemKind::System, 2, 4, 0, false);
+        assert!(matches!(
+            emulated_stream(&decoded, EmblemKind::Data, 4, false),
+            Err(RestoreError::FrameLoss { missing, .. }) if missing == vec![0]
+        ));
+    }
 }
