@@ -21,9 +21,10 @@
 
 use std::time::{Duration, Instant};
 use ule_compress::Scheme;
-use ule_emblem::stream::stream_crc32;
+use ule_emblem::stream::{stream_crc32, stream_emissions};
 use ule_emblem::{decode_emblem, decode_stream, encode_stream, EmblemGeometry, EmblemKind};
 use ule_media::Medium;
+use ule_obs::Telemetry;
 use ule_par::ThreadConfig;
 use ule_verisc::vm::EngineKind;
 
@@ -299,11 +300,20 @@ fn e1_paper_archive(run: &mut Run) {
     );
 
     // End-to-end encode + print + scan + decode (compressed pipeline).
-    let emblems = encode_stream(&geom, EmblemKind::Data, &archive, true);
-    let frames = medium.print_all(&emblems);
+    let frames = medium.render(
+        &stream_emissions(
+            &geom,
+            EmblemKind::Data,
+            &archive,
+            true,
+            ThreadConfig::Serial,
+            &Telemetry::off(),
+        ),
+        ThreadConfig::Serial,
+    );
     let encode_time = t1.elapsed();
     let t2 = Instant::now();
-    let scans = medium.scan_all(&frames, 600);
+    let scans = medium.scan_all(&frames, 600, ThreadConfig::Serial);
     let (restored_arc, stats) = decode_stream(&geom, &scans).expect("decode stream");
     let restored = ule_compress::decompress(&restored_arc).expect("decompress");
     let decode_time = t2.elapsed();
@@ -321,16 +331,23 @@ fn e1_paper_archive(run: &mut Run) {
 fn film_roundtrip(medium: &Medium, paper_emblems: usize) {
     let payload = ule_bench::logo_payload();
     let geom = medium.geometry;
-    let emblems = encode_stream(&geom, EmblemKind::Data, &payload, false);
+    let emissions = stream_emissions(
+        &geom,
+        EmblemKind::Data,
+        &payload,
+        false,
+        ThreadConfig::Serial,
+        &Telemetry::off(),
+    );
     println!(
         "  payload 102400 B -> {} emblems (paper: {paper_emblems}) on {}x{} frames",
-        emblems.len(),
+        emissions.len(),
         medium.frame_width,
         medium.frame_height
     );
     let t = Instant::now();
-    let frames = medium.print_all(&emblems);
-    let scans = medium.scan_all(&frames, 1964);
+    let frames = medium.render(&emissions, ThreadConfig::Serial);
+    let scans = medium.scan_all(&frames, 1964, ThreadConfig::Serial);
     let (restored, stats) = decode_stream(&geom, &scans).expect("decode");
     assert_eq!(restored, payload);
     println!(
@@ -520,14 +537,17 @@ fn e7_emulation_overhead(_run: &mut Run) {
     vm.run(1_000_000_000).unwrap();
     let t_dyn = t.elapsed();
     let dyn_steps = vm.steps();
-    assert_eq!(ule_dynarisc::layout::read_output(&vm.mem, out_base), data);
+    assert_eq!(
+        ule_dynarisc::layout::try_read_output(&vm.mem, out_base).unwrap(),
+        data
+    );
 
     let t = Instant::now();
     let mut emu = ule_verisc::NestedEmulator::new(&program, &mem);
     let v_steps = emu.run(EngineKind::MatchBased, 1_000_000_000_000).unwrap();
     let t_nested = t.elapsed();
     assert_eq!(
-        ule_dynarisc::layout::read_output(&emu.dyn_mem(), out_base),
+        ule_dynarisc::layout::try_read_output(&emu.dyn_mem(), out_base).unwrap(),
         data
     );
 
@@ -748,7 +768,11 @@ fn e10_vault(run: &mut Run) {
     // through the vault's fallback path.
     let classic = micr_olonys::MicrOlonys::test_tiny();
     let out = classic.archive(&w.dump);
-    let scans: ule_vault::ReelScans = vec![Some(classic.medium.scan_all(&out.data_frames, 1964))];
+    let scans: ule_vault::ReelScans = vec![Some(classic.medium.scan_all(
+        &out.data_frames,
+        1964,
+        classic.threads,
+    ))];
     let vault = Vault::single_reel(classic);
     let ok = matches!(
         vault.restore_all(&out.bootstrap, &scans),
@@ -943,7 +967,6 @@ fn e13_query(run: &mut Run) {
 
 fn e14_obs(run: &mut Run) {
     use micr_olonys::MicrOlonys;
-    use ule_obs::Telemetry;
     use ule_vault::zones::{ColumnRange, ZonePredicate};
     let scale = run.scale();
     let Run { checks, rec, .. } = run;
@@ -957,7 +980,7 @@ fn e14_obs(run: &mut Run) {
     let sys = MicrOlonys::test_tiny();
     let dump = ule_tpch::dump_for_scale(scale, 42);
     let out = sys.archive(&dump);
-    let scans = sys.medium.scan_all(&out.data_frames, 0xE14);
+    let scans = sys.medium.scan_all(&out.data_frames, 0xE14, sys.threads);
 
     // Gate 1: the recorder only observes — restored bytes (and the RS
     // work done to get them) are identical with telemetry on and off.

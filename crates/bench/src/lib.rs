@@ -6,7 +6,8 @@
 
 use std::sync::Arc;
 use ule_emblem::{
-    decode_stream, encode_emblem, encode_stream, EmblemGeometry, EmblemHeader, EmblemKind,
+    decode_stream, encode_emblem, stream::stream_emissions, EmblemGeometry, EmblemHeader,
+    EmblemKind,
 };
 use ule_fault::{
     Blotch, BurstScratch, ContrastFade, EdgeTear, EnvelopeCase, FaultModel, FaultPlan,
@@ -140,9 +141,17 @@ impl E9Workload {
     pub fn new(medium: Medium, seed: u64) -> Self {
         let geom = medium.geometry;
         let payload = random_payload(geom.payload_capacity() + 500, seed);
-        let emblems = encode_stream(&geom, EmblemKind::Data, &payload, true);
-        let frames = medium.print_all(&emblems);
-        let scans = medium.scan_all(&frames, seed ^ 0xE9);
+        let serial = ule_par::ThreadConfig::Serial;
+        let emissions = stream_emissions(
+            &geom,
+            EmblemKind::Data,
+            &payload,
+            true,
+            serial,
+            &ule_obs::Telemetry::off(),
+        );
+        let frames = medium.render(&emissions, serial);
+        let scans = medium.scan_all(&frames, seed ^ 0xE9, serial);
         Self {
             medium,
             payload: Arc::new(payload),

@@ -78,11 +78,6 @@ impl<'a> BitReader<'a> {
         Some(v)
     }
 
-    /// Bits consumed so far.
-    pub fn bit_pos(&self) -> usize {
-        self.pos
-    }
-
     /// Remaining whole bits.
     pub fn remaining(&self) -> usize {
         self.data.len() * 8 - self.pos

@@ -372,11 +372,8 @@ impl MicrOlonys {
         stats.archive_bytes = archive.len();
 
         // Run DBDecode on the selected tier over the concatenated stream.
-        let out_len = if archive.len() >= 14 {
-            u64::from_le_bytes(archive[6..14].try_into().unwrap()) as usize
-        } else {
-            0
-        };
+        let out_len = dbdecode::output_len(&archive)
+            .ok_or_else(|| corrupt("archive claims more bytes than its LZSS stream holds"))?;
         let (guest_mem, out_base) = layout::build_memory(&archive, out_len, &[]);
         let _dbdecode = tel.span("restore.emulated.dbdecode");
         tel.add(&format!("emulated.dispatch.{}", tier_label(tier)), 1);
@@ -415,7 +412,7 @@ impl MicrOlonys {
         }
         tel.add("emulated.guest_steps", stats.guest_steps);
         tel.add("emulated.verisc_steps", stats.verisc_steps);
-        Ok((layout::read_output(&guest, out_base), stats))
+        Ok((layout::try_read_output(&guest, out_base)?, stats))
     }
 }
 
@@ -600,7 +597,7 @@ fn run_modecode_nested(
     if status != 0 {
         return Err(RestoreError::DecoderStatus(status));
     }
-    Ok((layout::read_output(&guest, out_base), steps))
+    Ok((layout::try_read_output(&guest, out_base)?, steps))
 }
 
 /// Run MODecode on a host DynaRisc engine for one scan. Returns the
@@ -616,7 +613,7 @@ fn run_modecode_hosted(
     if status != 0 {
         return Err(RestoreError::DecoderStatus(status));
     }
-    Ok((layout::read_output(&mem, out_base), steps))
+    Ok((layout::try_read_output(&mem, out_base)?, steps))
 }
 
 #[cfg(test)]

@@ -148,7 +148,7 @@ fn native_restore_handles_degraded_scans() {
     let sys = MicrOlonys::test_tiny();
     let dump = sample_dump().repeat(8);
     let out = sys.archive(&dump);
-    let scans = sys.medium.scan_all(&out.data_frames, 99);
+    let scans = sys.medium.scan_all(&out.data_frames, 99, sys.threads);
     let (restored, stats) = sys.restore_native(&scans).expect("native restore");
     assert_eq!(restored, dump);
     assert_eq!(stats.scans, out.data_frames.len());
@@ -179,7 +179,7 @@ fn native_restore_survives_three_missing_frames() {
 fn system_emblems_carry_the_decoder() {
     let sys = MicrOlonys::test_tiny();
     let out = sys.archive(b"tiny");
-    let scans = sys.medium.scan_all(&out.system_frames, 3);
+    let scans = sys.medium.scan_all(&out.system_frames, 3, sys.threads);
     assert!(sys.verify_system_emblems(&scans).unwrap());
 }
 
@@ -327,4 +327,160 @@ fn nested_tier_refuses_hostile_dynmem_and_state_cells() {
     nested_restore_is_corrupt(|t| edit_symbol(t, "DYNMEM", Some("4000000000")));
     nested_restore_is_corrupt(|t| edit_symbol(t, "REGS", Some("4000000000")));
     nested_restore_is_corrupt(|t| edit_symbol(t, "SP", None));
+}
+
+/// The micro archive of [`sample_dump`]: its Bootstrap text and every
+/// frame, system frames first.
+fn micro_archive() -> (String, Vec<ule_raster::GrayImage>) {
+    let out = micro_system().archive(&sample_dump());
+    let mut scans = out.system_frames;
+    scans.extend(out.data_frames);
+    (out.bootstrap.to_text(), scans)
+}
+
+/// Restore from `text` on `tier`, turning a panic into an `Err` naming it.
+fn restore_unwound(
+    text: &str,
+    scans: &[ule_raster::GrayImage],
+    tier: EmulationTier,
+) -> Result<Result<Vec<u8>, RestoreError>, String> {
+    std::panic::catch_unwind(|| {
+        MicrOlonys::restore_emulated(text, scans, tier, ThreadConfig::Serial).map(|(b, _)| b)
+    })
+    .map_err(|p| {
+        p.downcast_ref::<String>()
+            .cloned()
+            .or_else(|| p.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_default()
+    })
+}
+
+#[test]
+fn guest_output_length_past_memory_is_an_error_not_a_panic() {
+    // A geometry or frame offset that does not match the scans makes
+    // MODecode write an output length of its own choosing; the host must
+    // not slice guest memory by it.
+    let (text, scans) = micro_archive();
+    for hostile in [
+        edit_geometry(&text, "cell_px", "3"),
+        edit_line(&text, "frame:", |l| l.replacen("xoff=30", "xoff=1", 1)),
+    ] {
+        assert_ne!(hostile, text);
+        for tier in [
+            EmulationTier::Threaded,
+            EmulationTier::Interpreter,
+            EmulationTier::Nested(EngineKind::TableDriven),
+        ] {
+            match restore_unwound(&hostile, &scans, tier) {
+                Ok(Err(_)) => {}
+                other => panic!("{tier:?}: expected an error, got {other:?}"),
+            }
+        }
+    }
+}
+
+#[test]
+fn forged_archive_length_is_corrupt_not_an_abort() {
+    // DBDecode's guest memory is sized from the container's length field:
+    // a forged one must be refused before the host allocates it.
+    use ule_emblem::{stream::stream_emissions, EmblemKind};
+    let sys = micro_system();
+    let dump = sample_dump();
+    let out = sys.archive(&dump);
+    let mut archive = ule_compress::compress(sys.scheme, &dump);
+    archive[6..14].copy_from_slice(&0x5555_5555_5555_5555u64.to_le_bytes());
+    let emissions = stream_emissions(
+        &sys.medium.geometry,
+        EmblemKind::Data,
+        &archive,
+        sys.with_parity,
+        ThreadConfig::Serial,
+        &ule_obs::Telemetry::off(),
+    );
+    let data = sys.medium.render(&emissions, ThreadConfig::Serial);
+    match sys.restore_native(&data) {
+        Err(RestoreError::Archive(ArchiveError::Corrupt(_))) => {}
+        other => panic!("native: expected Corrupt, got {other:?}"),
+    }
+    let mut scans = out.system_frames.clone();
+    scans.extend(data);
+    let text = out.bootstrap.to_text();
+    match restore_unwound(&text, &scans, EmulationTier::Threaded) {
+        Ok(Err(RestoreError::Archive(ArchiveError::Corrupt(_)))) => {}
+        other => panic!("emulated: expected Corrupt, got {other:?}"),
+    }
+}
+
+#[test]
+fn nested_tier_survives_a_moved_pointer_file() {
+    // PTRS=255 points the guest's pointer registers into the emulator's
+    // own code: the guest output is garbage, and garbage must not size
+    // the host's DBDecode memory.
+    let (text, scans) = micro_archive();
+    let hostile = edit_symbol(&text, "PTRS", Some("255"));
+    assert_ne!(hostile, text);
+    match restore_unwound(
+        &hostile,
+        &scans,
+        EmulationTier::Nested(EngineKind::TableDriven),
+    ) {
+        Ok(Err(_)) => {}
+        other => panic!("expected an error, got {other:?}"),
+    }
+}
+
+#[test]
+fn one_field_bootstrap_sweep_is_an_error_or_the_dump() {
+    // Every number on the Bootstrap's layout lines, set in turn to each
+    // hostile value, on the Threaded tier: an answer is either an error
+    // or the archived dump bit-exact, never a panic or other bytes.
+    const LINES: [&str; 7] = [
+        "words:",
+        "symbols:",
+        "prog-capacity:",
+        "geometry:",
+        "frame:",
+        "scheme:",
+        "outer:",
+    ];
+    const VALUES: [&str; 7] = [
+        "0",
+        "1",
+        "3",
+        "255",
+        "65536",
+        "4294967295",
+        "99999999999999999",
+    ];
+    let (text, scans) = micro_archive();
+    let dump = sample_dump();
+    let (mut cases, mut failures) = (0, Vec::new());
+    for line in text.lines() {
+        let Some(prefix) = LINES.iter().find(|p| line.starts_with(**p)) else {
+            continue;
+        };
+        let mut at = prefix.len();
+        while let Some(start) = line[at..]
+            .find(|c: char| c.is_ascii_digit())
+            .map(|i| at + i)
+        {
+            let end = line[start..]
+                .find(|c: char| !c.is_ascii_digit())
+                .map_or(line.len(), |i| start + i);
+            for value in VALUES {
+                let edited = format!("{}{value}{}", &line[..start], &line[end..]);
+                let hostile = text.replacen(line, &edited, 1);
+                cases += 1;
+                match restore_unwound(&hostile, &scans, EmulationTier::Threaded) {
+                    Ok(Err(_)) => {}
+                    Ok(Ok(bytes)) if bytes == dump => {}
+                    Ok(Ok(_)) => failures.push(format!("{edited}: wrong bytes")),
+                    Err(panic) => failures.push(format!("{edited}: panic {panic}")),
+                }
+            }
+            at = end;
+        }
+    }
+    assert_eq!(cases, 31 * VALUES.len(), "numbers swept");
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
 }

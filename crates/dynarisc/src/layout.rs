@@ -16,6 +16,8 @@
 //! out_base ..    output data
 //! ```
 
+use crate::vm::VmError;
+
 /// Address of the input length (u32 LE).
 pub const IN_LEN_ADDR: u32 = 0x10;
 /// Address of the output length (u32 LE), written by the program.
@@ -51,15 +53,31 @@ pub fn build_memory(input: &[u8], max_output_len: usize, params: &[u16]) -> (Vec
     (mem, out_base)
 }
 
-/// Read the program's output back out of memory.
-pub fn read_output(mem: &[u8], out_base: u32) -> Vec<u8> {
-    let len = u32::from_le_bytes(
-        mem[OUT_LEN_ADDR as usize..OUT_LEN_ADDR as usize + 4]
-            .try_into()
-            .unwrap(),
-    ) as usize;
+/// Read the program's output back out of memory: the bytes at `out_base`,
+/// as many as the length word the program wrote at [`OUT_LEN_ADDR`]. The
+/// word is guest-written, so an output that reaches past `mem` is a
+/// [`VmError::MemFault`], not a host panic.
+pub fn try_read_output(mem: &[u8], out_base: u32) -> Result<Vec<u8>, VmError> {
+    let at = OUT_LEN_ADDR as usize;
+    let word = mem.get(at..at + 4).ok_or(VmError::MemFault {
+        addr: OUT_LEN_ADDR,
+        len: 4,
+    })?;
+    let len = u32::from_le_bytes(word.try_into().unwrap());
     let base = out_base as usize;
-    mem[base..base + len].to_vec()
+    base.checked_add(len as usize)
+        .and_then(|end| mem.get(base..end))
+        .map(<[u8]>::to_vec)
+        .ok_or(VmError::MemFault {
+            addr: out_base,
+            len,
+        })
+}
+
+/// [`try_read_output`] for output known to fit; panics where it would
+/// err. The benchmark package still calls this form.
+pub fn read_output(mem: &[u8], out_base: u32) -> Vec<u8> {
+    try_read_output(mem, out_base).expect("program output reaches past memory")
 }
 
 #[cfg(test)]
@@ -85,6 +103,18 @@ mod tests {
         let (mut mem, out_base) = build_memory(b"x", 16, &[]);
         mem[out_base as usize..out_base as usize + 3].copy_from_slice(b"abc");
         mem[OUT_LEN_ADDR as usize..OUT_LEN_ADDR as usize + 4].copy_from_slice(&3u32.to_le_bytes());
-        assert_eq!(read_output(&mem, out_base), b"abc");
+        assert_eq!(try_read_output(&mem, out_base).unwrap(), b"abc");
+        // The length word is guest-written: past memory is a fault.
+        let room = (mem.len() - out_base as usize) as u32;
+        for len in [room + 1, u32::MAX] {
+            mem[OUT_LEN_ADDR as usize..OUT_LEN_ADDR as usize + 4]
+                .copy_from_slice(&len.to_le_bytes());
+            let fault = VmError::MemFault {
+                addr: out_base,
+                len,
+            };
+            assert_eq!(try_read_output(&mem, out_base), Err(fault));
+        }
+        assert!(try_read_output(&[0; 8], 0).is_err(), "no length word");
     }
 }

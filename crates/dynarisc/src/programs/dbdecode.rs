@@ -24,12 +24,11 @@
 //! | D3   | scratch address register     |
 
 use crate::asm::Asm;
-use crate::layout::{build_memory, read_output, IN_BASE, OUT_LEN_ADDR};
+use crate::layout::{build_memory, try_read_output, IN_BASE, OUT_LEN_ADDR};
 use crate::programs::{status, ProgError};
 use crate::vm::Vm;
 
 /// Container header length (mirrors `ule_compress::container::HEADER_LEN`).
-#[allow(dead_code)]
 const HEADER_LEN: u16 = 18;
 /// Scheme id of LZSS in the container.
 const SCHEME_LZSS: u16 = 2;
@@ -159,15 +158,25 @@ pub fn step_budget(archive_len: usize, out_len: usize) -> u64 {
     1_000 + 64 * (archive_len as u64 + out_len as u64)
 }
 
+/// The output length a `ULEA` container's header claims (0 for a
+/// container too short to hold one), or `None` when its LZSS payload
+/// cannot decode to that many bytes: a flag byte and eight 2-byte tokens
+/// of at most 18 bytes each give at most 144 bytes per 17 payload bytes.
+/// The host sizes guest memory from this length, so a forged header must
+/// stop here, before [`build_memory`] allocates it.
+pub fn output_len(archive: &[u8]) -> Option<usize> {
+    let Some(word) = archive.get(6..14) else {
+        return Some(0);
+    };
+    let claimed = u64::from_le_bytes(word.try_into().unwrap());
+    let payload = archive.len().saturating_sub(HEADER_LEN as usize) as u64;
+    (claimed <= payload.div_ceil(17) * 144).then_some(claimed as usize)
+}
+
 /// Run DBDecode on the host DynaRisc VM: `archive` is a `ULEA` container
 /// with the LZSS scheme; returns the decompressed bytes.
 pub fn run(archive: &[u8]) -> Result<Vec<u8>, ProgError> {
-    // The expected output size comes from the container header.
-    let out_len = if archive.len() >= 14 {
-        u64::from_le_bytes(archive[6..14].try_into().unwrap()) as usize
-    } else {
-        0
-    };
+    let out_len = output_len(archive).ok_or(ProgError::Oversize)?;
     let (mem, out_base) = build_memory(archive, out_len, &[]);
     let mut vm = Vm::new(program(), mem);
     vm.run(step_budget(archive.len(), out_len))?;
@@ -175,7 +184,7 @@ pub fn run(archive: &[u8]) -> Result<Vec<u8>, ProgError> {
     if st != status::OK {
         return Err(ProgError::Status(st));
     }
-    Ok(read_output(&vm.mem, out_base))
+    Ok(try_read_output(&vm.mem, out_base)?)
 }
 
 #[cfg(test)]
@@ -256,6 +265,23 @@ mod tests {
             run(&arc).unwrap_err(),
             ProgError::Status(status::BAD_VERSION)
         );
+    }
+
+    #[test]
+    fn output_len_admits_real_archives_and_refuses_forged_lengths() {
+        // Zeros compress at the bound's own ratio (18-byte matches).
+        for data in [vec![0u8; 100_000], b"abc".to_vec(), Vec::new()] {
+            let arc = archive(&data);
+            assert_eq!(output_len(&arc), Some(data.len()));
+        }
+        let mut arc = archive(&[0u8; 100_000]);
+        let most = (arc.len() as u64 - 18).div_ceil(17) * 144;
+        for (claim, ok) in [(most, true), (most + 1, false), (u64::MAX, false)] {
+            arc[6..14].copy_from_slice(&claim.to_le_bytes());
+            assert_eq!(output_len(&arc).is_some(), ok, "claim={claim}");
+        }
+        assert_eq!(run(&arc).unwrap_err(), ProgError::Oversize);
+        assert_eq!(output_len(b"ULEA\x01"), Some(0), "no length field");
     }
 
     #[test]

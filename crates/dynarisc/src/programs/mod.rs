@@ -27,6 +27,9 @@ pub enum ProgError {
     Vm(VmError),
     /// The program reported a failure status word.
     Status(u16),
+    /// The input claims more output than it can decode to, so the host
+    /// refuses to size guest memory for it.
+    Oversize,
 }
 
 impl std::fmt::Display for ProgError {
@@ -34,6 +37,7 @@ impl std::fmt::Display for ProgError {
         match self {
             ProgError::Vm(e) => write!(f, "vm error: {e}"),
             ProgError::Status(s) => write!(f, "program reported status {s}"),
+            ProgError::Oversize => write!(f, "input claims more output than it can decode to"),
         }
     }
 }

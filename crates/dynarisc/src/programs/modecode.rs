@@ -29,7 +29,7 @@
 //! payload area (`nblocks × 223` bytes); `out_len = 16 + payload_len`.
 
 use crate::asm::Asm;
-use crate::layout::{build_memory, read_output, PARAM_BASE};
+use crate::layout::{build_memory, try_read_output, PARAM_BASE};
 use crate::programs::{status, ProgError};
 use crate::vm::Vm;
 
@@ -245,7 +245,7 @@ pub fn run(pixels: &[u8], params: &ModecodeParams) -> Result<Vec<u8>, ProgError>
     if st != status::OK {
         return Err(ProgError::Status(st));
     }
-    Ok(read_output(&vm.mem, out_base))
+    Ok(try_read_output(&vm.mem, out_base)?)
 }
 
 #[cfg(test)]

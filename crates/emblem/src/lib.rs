@@ -20,13 +20,15 @@
 //! geometry to resample the cell grid, so lens curvature and transport
 //! jitter are compensated exactly the way §3.1 demands.
 //!
-//! Emblems in a stream are independent, so each stream stage has two
-//! forms: a plain serial one ([`encode_stream`], [`decode_stream`]) and a
-//! full one ([`encode_stream_traced`], [`decode_stream_traced`]) that
-//! takes a [`ThreadConfig`] and a telemetry handle and fans the
-//! per-emblem work out across a scoped worker pool — with output
+//! Emblems in a stream are independent, so the stream stages take a
+//! [`ThreadConfig`] and a telemetry handle and fan the per-emblem work out
+//! across a scoped worker pool ([`stream::stream_emissions`],
+//! [`decode_frames`], [`decode_stream_traced`]) — with output
 //! byte-identical to the serial path at any thread count, because the
-//! on-medium format is frozen (`DESIGN.md` §9).
+//! on-medium format is frozen (`DESIGN.md` §9). [`encode_stream`] is the
+//! serial master encoder for code with no medium; [`decode_stream`] is
+//! the serial form of [`decode_stream_traced`] (the benchmark package
+//! still calls the traced name, so the two fold into one later).
 
 pub mod decode;
 pub mod encode;
@@ -40,8 +42,5 @@ pub use decode::{decode_emblem, inner_decode_with, DecodeError, DecodeStats};
 pub use encode::{encode_emblem, encode_emblem_into, inner_encode};
 pub use geometry::EmblemGeometry;
 pub use header::{EmblemHeader, EmblemKind};
-pub use stream::{
-    decode_frames, decode_stream, decode_stream_traced, encode_stream, encode_stream_traced,
-    StreamError,
-};
+pub use stream::{decode_frames, decode_stream, decode_stream_traced, encode_stream, StreamError};
 pub use ule_par::ThreadConfig;

@@ -186,7 +186,10 @@ pub fn plan(geom: &EmblemGeometry, len: usize, with_parity: bool) -> StreamPlan 
 /// bytes it carries (a borrowed payload chunk, or an owned parity chunk).
 pub type Emission<'a> = (EmblemHeader, Cow<'a, [u8]>);
 
-/// Encode a payload into a sequence of emblem print masters.
+/// Encode a payload into a sequence of emblem print masters, one
+/// [`encode_emblem`] per [`stream_emissions`] entry, serially. Archives
+/// paint frames in place instead (`Medium::render`); masters serve where
+/// there is no medium (tests, the golden `stream_crc32`, E4's tables).
 ///
 /// Emission order per group: the group's data emblems, then its 3 parity
 /// emblems; indices are global and sequential. With `with_parity = false`
@@ -198,7 +201,7 @@ pub fn encode_stream(
     payload: &[u8],
     with_parity: bool,
 ) -> Vec<GrayImage> {
-    encode_stream_traced(
+    stream_emissions(
         geom,
         kind,
         payload,
@@ -206,35 +209,9 @@ pub fn encode_stream(
         ThreadConfig::Serial,
         &Telemetry::off(),
     )
-}
-
-/// [`encode_stream`] with the per-emblem work (outer-code parity, inner RS
-/// encode, cell layout, rasterisation) fanned out across `threads` workers,
-/// plus telemetry: spans for the outer-parity and render stages, counters
-/// for data/parity emblem counts. It is [`stream_emissions`] followed by
-/// one [`encode_emblem`] job per emission (`Medium::render` skips masters).
-///
-/// Determinism: emblem content is a pure function of `(header, chunk)`, and
-/// both the outer-parity stage (one job per group) and the render stage
-/// (one job per emblem) join their results in index order, so the produced
-/// images are byte-identical to the serial path at any thread count
-/// (`tests/parallel_identity.rs` pins this; `tests/golden_format.rs` pins
-/// the absolute bytes so the frozen format cannot drift). The recorder
-/// only observes, and the default [`Telemetry::off`] handle never reads
-/// the clock.
-pub fn encode_stream_traced(
-    geom: &EmblemGeometry,
-    kind: EmblemKind,
-    payload: &[u8],
-    with_parity: bool,
-    threads: ThreadConfig,
-    tel: &Telemetry,
-) -> Vec<GrayImage> {
-    let emissions = stream_emissions(geom, kind, payload, with_parity, threads, tel);
-    let _span = tel.span("archive.encode.render");
-    ule_par::map(threads, &emissions, |(header, bytes)| {
-        encode_emblem(geom, header, bytes)
-    })
+    .iter()
+    .map(|(header, bytes)| encode_emblem(geom, header, bytes))
+    .collect()
 }
 
 /// Stage 1 of every encoder (masters here, frames in `Medium::render`):

@@ -18,8 +18,8 @@
 //!   and reordering. Each documents its severity semantics; severity `0.0`
 //!   is always the identity.
 //! * [`FaultPlan`] — a composable sequence of models applied at one
-//!   severity knob, fanned out per frame across a [`ule_par::ThreadConfig`]
-//!   pool with byte-identical output at any thread count.
+//!   severity knob, serially and deterministically in `(severity, seed)`
+//!   (E9 fans out across cases instead, [`RecoveryEnvelope`]).
 //! * [`RecoveryEnvelope`] — the campaign runner: binary-searches the
 //!   maximum survivable severity of an arbitrary recovery predicate, the
 //!   engine behind experiment E9 (`DESIGN.md` §7).

@@ -1,7 +1,6 @@
 //! [`FaultPlan`] — a composable damage scenario.
 
 use crate::models::FaultModel;
-use ule_par::ThreadConfig;
 use ule_raster::rng::SplitMix64;
 use ule_raster::GrayImage;
 
@@ -9,15 +8,13 @@ use ule_raster::GrayImage;
 /// single severity knob. The plan runs in two stages:
 ///
 /// 1. **per-frame damage** — every model's [`FaultModel::apply_frame`]
-///    runs on every frame, one independent job per frame fanned out across
-///    the worker pool. Each `(step, frame)` pair derives its own RNG from
-///    the plan seed, so the output is byte-identical at any thread count
-///    (the same determinism contract as the rest of the pipeline,
-///    `DESIGN.md` §9);
+///    runs on every frame. Each `(step, frame)` pair derives its own RNG
+///    from the plan seed, so a frame's damage depends on its index alone,
+///    never on the order frames are visited;
 /// 2. **frame-set restructuring** — every model's
-///    [`FaultModel::apply_set`] runs once over the joined list, in step
-///    order, sequentially (losing or reordering frames is inherently a
-///    list-level operation).
+///    [`FaultModel::apply_set`] runs once over the whole list, in step
+///    order (losing or reordering frames is inherently a list-level
+///    operation).
 ///
 /// Severity `0.0` is the identity by construction *and* by contract: each
 /// model must be a no-op at zero, and `crates/fault/tests/prop_fault.rs`
@@ -72,33 +69,20 @@ impl FaultPlan {
             .join("+")
     }
 
-    /// Apply the plan serially. See [`FaultPlan::apply_with`].
-    pub fn apply(&self, frames: &[GrayImage], severity: f64, seed: u64) -> Vec<GrayImage> {
-        self.apply_with(frames, severity, seed, ThreadConfig::Serial)
-    }
-
     /// Apply every step at `severity` to `frames`, deterministically in
-    /// `(severity, seed)` and independent of `threads`.
-    pub fn apply_with(
-        &self,
-        frames: &[GrayImage],
-        severity: f64,
-        seed: u64,
-        threads: ThreadConfig,
-    ) -> Vec<GrayImage> {
+    /// `(severity, seed)`.
+    pub fn apply(&self, frames: &[GrayImage], severity: f64, seed: u64) -> Vec<GrayImage> {
         let severity = severity.clamp(0.0, 1.0);
-        // Stage 1: pixel damage, one job per frame. The RNG stream of a
-        // step/frame pair depends only on (seed, step, frame index), never
-        // on scheduling.
-        let mut out: Vec<GrayImage> = ule_par::map_indexed(threads, frames.len(), |i| {
-            let mut f = frames[i].clone();
+        // Stage 1: pixel damage. The RNG stream of a step/frame pair
+        // depends only on (seed, step, frame index).
+        let mut out = frames.to_vec();
+        for (i, f) in out.iter_mut().enumerate() {
             for (si, step) in self.steps.iter().enumerate() {
                 let mut rng = SplitMix64::new(mix(seed, si as u64, i as u64));
-                step.apply_frame(&mut f, severity, &mut rng);
+                step.apply_frame(f, severity, &mut rng);
             }
-            f
-        });
-        // Stage 2: frame-set restructuring, sequential in step order.
+        }
+        // Stage 2: frame-set restructuring, in step order.
         for (si, step) in self.steps.iter().enumerate() {
             let mut rng = SplitMix64::new(mix(seed, si as u64, u64::MAX));
             step.apply_set(&mut out, severity, &mut rng);
@@ -173,17 +157,6 @@ mod tests {
         assert_eq!(p.apply(&fs, 0.4, 9), p.apply(&fs, 0.4, 9));
         // A different seed moves the damage.
         assert_ne!(p.apply(&fs, 0.4, 9), p.apply(&fs, 0.4, 10));
-    }
-
-    #[test]
-    fn thread_count_never_changes_output() {
-        let fs = frames(7);
-        let p = sample_plan();
-        let serial = p.apply(&fs, 0.5, 42);
-        for threads in [2usize, 4, 8] {
-            let par = p.apply_with(&fs, 0.5, 42, ThreadConfig::Fixed(threads));
-            assert_eq!(par, serial, "threads={threads}");
-        }
     }
 
     #[test]

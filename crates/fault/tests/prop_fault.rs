@@ -1,12 +1,11 @@
 //! Property tests over arbitrary fault plans: severity 0 is the identity
 //! on scanned frames, and fault application is a pure function of
-//! `(plan, severity, seed)` — the thread count (including the CI
-//! `ULE_TEST_THREADS` matrix) never changes a byte.
+//! `(plan, severity, seed)`.
 
 use proptest::prelude::*;
 use ule_fault::{
     Blotch, BurstScratch, ContrastFade, EdgeTear, FaultPlan, FrameLossFault, FrameReorderFault,
-    Orientation, SaltPepper, ThreadConfig,
+    Orientation, SaltPepper,
 };
 use ule_raster::{DegradeParams, GrayImage, Scanner};
 
@@ -73,27 +72,6 @@ proptest! {
         let frames = scanned_frames(nframes, seed);
         let out = plan.apply(&frames, 0.0, plan_seed);
         prop_assert_eq!(out, frames);
-    }
-
-    #[test]
-    fn same_seed_application_is_thread_identical(
-        selectors in proptest::collection::vec(any::<u8>(), 1..6),
-        nframes in 1usize..6,
-        severity in 0.0f64..1.0,
-        seed in any::<u64>(),
-        plan_seed in any::<u64>(),
-    ) {
-        let plan = plan_from(&selectors);
-        let frames = scanned_frames(nframes, seed);
-        // CI runs this test with ULE_TEST_THREADS unset and set to 4;
-        // the env-selected pool, an explicit 4-thread pool, and the serial
-        // path must all produce identical bytes.
-        let serial = plan.apply(&frames, severity, plan_seed);
-        let env = plan.apply_with(
-            &frames, severity, plan_seed, ThreadConfig::from_env_or(ThreadConfig::Serial));
-        let four = plan.apply_with(&frames, severity, plan_seed, ThreadConfig::Fixed(4));
-        prop_assert_eq!(&env, &serial);
-        prop_assert_eq!(&four, &serial);
     }
 
     #[test]

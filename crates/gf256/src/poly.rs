@@ -41,13 +41,6 @@ pub fn add(a: &[u8], b: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Scale a polynomial by a field element, in place.
-pub fn scale_in_place(gf: &Gf256, p: &mut [u8], k: u8) {
-    for c in p {
-        *c = gf.mul(*c, k);
-    }
-}
-
 /// Formal derivative. In characteristic 2 the even-power terms vanish:
 /// d/dx sum c_i x^i = sum over odd i of c_i x^(i-1).
 pub fn derivative(p: &[u8]) -> Vec<u8> {

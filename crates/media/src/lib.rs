@@ -18,6 +18,12 @@
 //! degradation preset, and linear-density figures so the capacity models
 //! the paper reports (pages per archive, GB per reel) can be regenerated.
 //!
+//! Writing and reading each have one form that takes a worker pool:
+//! [`Medium::render`] paints every emission of a stream onto its own
+//! frame (the write path of every archive; [`Medium::print`] centres a
+//! single master the same way), and [`Medium::scan_all`] scans a set of
+//! frames with per-frame seeds, identical at any thread count.
+//!
 //! Beyond the per-pixel scanner physics, [`Medium::scan_with_faults`]
 //! layers *physical decay* on top: an `ule_fault` [`FaultPlan`] (tears,
 //! stains, scratches, fading, lost or reordered frames) applied at a
@@ -213,26 +219,9 @@ impl Medium {
         Scanner::new(self.degrade.scaled(severity), seed).scan(frame)
     }
 
-    /// Print a whole emblem stream to frames.
-    pub fn print_all(&self, emblems: &[GrayImage]) -> Vec<GrayImage> {
-        self.print_all_with(emblems, ThreadConfig::Serial)
-    }
-
-    /// [`Medium::print_all`] with frame rasterisation fanned out across
-    /// `threads` workers. Each frame is a pure function of its emblem, so
-    /// the frames are byte-identical to the serial path.
-    pub fn print_all_with(&self, emblems: &[GrayImage], threads: ThreadConfig) -> Vec<GrayImage> {
-        ule_par::map(threads, emblems, |e| self.print(e))
-    }
-
-    /// Scan a set of frames (seed is perturbed per frame).
-    pub fn scan_all(&self, frames: &[GrayImage], seed: u64) -> Vec<GrayImage> {
-        self.scan_all_with(frames, seed, ThreadConfig::Serial)
-    }
-
-    /// [`Medium::scan_all`] across `threads` workers. The per-frame seed
-    /// depends only on the frame index, so scans are identical to the
-    /// serial path at any thread count.
+    /// Scan a set of frames across `threads` workers. Frame `i` is scanned
+    /// with seed `seed ^ (i + 1)`, which depends only on its index, so the
+    /// scans are identical at any thread count.
     ///
     /// Scans of undamaged frames decode on the Reed–Solomon clean-frame
     /// fast path (`ule_gf256::RsCode::decode` returns after one
@@ -240,7 +229,7 @@ impl Medium {
     /// sweep over an intact shelf costs sampling plus syndromes, never
     /// Berlekamp–Massey; the report's `[E11]` section and `EXPERIMENTS.md`
     /// E11 quantify the resulting scan-throughput gain.
-    pub fn scan_all_with(
+    pub fn scan_all(
         &self,
         frames: &[GrayImage],
         seed: u64,
@@ -251,15 +240,16 @@ impl Medium {
         })
     }
 
-    /// [`Medium::scan_all_with`] followed by physical fault injection: the
+    /// [`Medium::scan_all`] followed by physical fault injection: the
     /// scans are pushed through `plan` at `severity` (see `ule_fault` for
     /// the model zoo and severity semantics, `DESIGN.md` §10 for the
     /// method). Faults are applied in the scan domain — decay damage is
     /// modelled as it *appears* in the digitised image, which keeps
     /// envelope campaigns re-scannable-free and is equivalent for the
     /// saturated defects the models produce. Deterministic in
-    /// `(seed, severity)` and independent of `threads`; frame-set models
-    /// in the plan may drop or reorder whole scans.
+    /// `(seed, severity)` and independent of `threads`, which fan out the
+    /// scans (the plan itself runs serially); frame-set models in the
+    /// plan may drop or reorder whole scans.
     pub fn scan_with_faults(
         &self,
         frames: &[GrayImage],
@@ -268,8 +258,8 @@ impl Medium {
         severity: f64,
         threads: ThreadConfig,
     ) -> Vec<GrayImage> {
-        let scans = self.scan_all_with(frames, seed, threads);
-        plan.apply_with(&scans, severity, seed ^ 0xFA17_FA17_FA17_FA17, threads)
+        let scans = self.scan_all(frames, seed, threads);
+        plan.apply(&scans, severity, seed ^ 0xFA17_FA17_FA17_FA17)
     }
 
     /// The canonical fault scenario for this medium — the `FaultPlan`
@@ -522,7 +512,7 @@ mod tests {
         let frames = vec![m.print(&encode_emblem(&g, &header, &[1, 2, 3]))];
         let plan = m.canonical_fault_plan();
         let faulted = m.scan_with_faults(&frames, 5, &plan, 0.0, ThreadConfig::Serial);
-        assert_eq!(faulted, m.scan_all(&frames, 5));
+        assert_eq!(faulted, m.scan_all(&frames, 5, ThreadConfig::Serial));
     }
 
     #[test]

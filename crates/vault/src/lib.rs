@@ -419,12 +419,6 @@ impl Vault {
         self
     }
 
-    /// Replace the zone-map spec.
-    pub fn with_zone_spec(mut self, spec: ZoneSpec) -> Self {
-        self.zone_spec = Some(spec);
-        self
-    }
-
     /// Segmentation + per-segment compression + catalog serialization:
     /// the byte-level composition of a vault archive, shared by
     /// [`Vault::archive`] and [`Vault::plan_layout`]. Returns the data
@@ -450,12 +444,9 @@ impl Vault {
                 let bytes = &dump[s.start..s.start + s.len];
                 if let Some(spec) = self.zone_spec.as_ref().filter(|_| s.is_table()) {
                     if let Some(cols) = spec.columns_for(&s.name) {
-                        let target = if spec.target_bytes > 0 {
-                            spec.target_bytes
-                        } else {
-                            6 * cap.max(1)
-                        };
-                        if let Some(pieces) = split_segment(bytes, cols, target) {
+                        // Six chunk payloads per row group, so each zone
+                        // spans a handful of frames.
+                        if let Some(pieces) = split_segment(bytes, cols, 6 * cap.max(1)) {
                             return SegPlan {
                                 zone_columns: cols.to_vec(),
                                 pieces: pieces
@@ -626,7 +617,7 @@ impl Vault {
             .reels
             .iter()
             .map(|r| {
-                Some(self.system.medium.scan_all_with(
+                Some(self.system.medium.scan_all(
                     &r.frames,
                     seed ^ ((r.id as u64 + 1) << 32),
                     self.system.threads,
@@ -1741,7 +1732,11 @@ mod tests {
         let dump = b"COPY t (a) FROM stdin;\n1\n2\n3\n\\.\n".repeat(30);
         let out = system.archive(&dump);
         assert_eq!(out.bootstrap.vault, None);
-        let scans: ReelScans = vec![Some(system.medium.scan_all(&out.data_frames, 9))];
+        let scans: ReelScans = vec![Some(system.medium.scan_all(
+            &out.data_frames,
+            9,
+            system.threads,
+        ))];
         let vault = Vault::single_reel(system);
         let (restored, stats) = vault.restore_all(&out.bootstrap, &scans).unwrap();
         assert_eq!(restored, dump);

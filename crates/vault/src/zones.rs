@@ -31,9 +31,6 @@ pub struct ZoneSpec {
     /// here — and tables whose `COPY` header lacks a listed column — are
     /// composed as a single opaque record, exactly as before.
     pub tables: Vec<(String, Vec<String>)>,
-    /// Target dump bytes per row-group zone (`0` = auto: six chunk
-    /// payloads, so each zone spans a handful of frames).
-    pub target_bytes: usize,
 }
 
 impl ZoneSpec {
@@ -48,7 +45,6 @@ impl ZoneSpec {
                 ),
                 ("orders".to_string(), vec!["o_orderdate".to_string()]),
             ],
-            target_bytes: 0,
         }
     }
 

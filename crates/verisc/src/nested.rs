@@ -990,11 +990,6 @@ impl NestedEmulator {
         self.code_words
     }
 
-    /// Total image size in words.
-    pub fn image_words(&self) -> usize {
-        self.image.len()
-    }
-
     /// The raw VeRisc memory image (what the Bootstrap letters encode).
     pub fn image(&self) -> &[u32] {
         &self.image
@@ -1103,19 +1098,6 @@ impl NestedEmulator {
         let base = self.symbols["PROG"] as usize;
         for (i, &w) in program.iter().enumerate() {
             self.image[base + i] = w as u32;
-        }
-    }
-
-    /// Replace the guest data memory region. The region was sized at
-    /// generation time; `mem` must not exceed it.
-    pub fn load_dyn_mem(&mut self, mem: &[u8]) {
-        assert!(mem.len() <= self.dyn_mem_len, "dyn mem exceeds region");
-        let base = self.symbols["DYNMEM"] as usize;
-        for (i, &b) in mem.iter().enumerate() {
-            self.image[base + i] = b as u32;
-        }
-        for i in mem.len()..self.dyn_mem_len {
-            self.image[base + i] = 0;
         }
     }
 

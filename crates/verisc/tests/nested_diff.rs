@@ -145,7 +145,7 @@ fn dbdecode_runs_identically_under_nested_emulation() {
     // Native reference.
     let mut native = Vm::new(program.clone(), mem.clone());
     native.run(10_000_000).unwrap();
-    let native_out = layout::read_output(&native.mem, out_base);
+    let native_out = layout::try_read_output(&native.mem, out_base).unwrap();
     assert_eq!(native_out, data);
 
     // Nested (one engine is enough here; the cross-engine agreement is
@@ -153,7 +153,7 @@ fn dbdecode_runs_identically_under_nested_emulation() {
     let mut nested = NestedEmulator::new(&program, &mem);
     nested.run(EngineKind::MatchBased, 2_000_000_000).unwrap();
     let nested_mem = nested.dyn_mem();
-    let nested_out = layout::read_output(&nested_mem, out_base);
+    let nested_out = layout::try_read_output(&nested_mem, out_base).unwrap();
     assert_eq!(nested_out, data, "nested emulation decoded different bytes");
     assert_eq!(nested_mem, native.mem, "full guest memory differs");
 }

@@ -6,8 +6,11 @@
 //! cargo run --release --example microfilm_restore
 //! ```
 
-use ule::emblem::{decode_stream, encode_stream, EmblemKind};
+use ule::emblem::stream::stream_emissions;
+use ule::emblem::{decode_stream, EmblemKind};
 use ule::media::Medium;
+use ule::obs::Telemetry;
+use ule::par::ThreadConfig;
 use ule::raster::GrayImage;
 
 /// A synthetic stand-in for the paper's 102 KB Olonys-logo TIFF: a small
@@ -39,18 +42,25 @@ fn main() {
 
     // Encode to emblems (no outer parity: the paper's film test used 3
     // emblems exactly).
-    let emblems = encode_stream(&medium.geometry, EmblemKind::Data, &payload, false);
+    let emissions = stream_emissions(
+        &medium.geometry,
+        EmblemKind::Data,
+        &payload,
+        false,
+        ThreadConfig::Serial,
+        &Telemetry::off(),
+    );
     println!(
         "emblems: {} (paper: 3) on {}x{} bitonal frames",
-        emblems.len(),
+        emissions.len(),
         medium.frame_width,
         medium.frame_height
     );
 
     // Film → archive writer → decades → microfilm reader (1.28x scan,
     // dust/fading/jitter per the medium profile).
-    let frames = medium.print_all(&emblems);
-    let scans = medium.scan_all(&frames, 1964);
+    let frames = medium.render(&emissions, ThreadConfig::Serial);
+    let scans = medium.scan_all(&frames, 1964, ThreadConfig::Serial);
     println!(
         "scans: {}x{} grayscale (the paper's reader produced ~5000x7000)",
         scans[0].width(),

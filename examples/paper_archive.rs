@@ -42,7 +42,7 @@ fn main() {
 
     println!("scanning pages with the laser print+scan degradation model...");
     let t1 = Instant::now();
-    let scans = medium.scan_all(&out.data_frames, 600);
+    let scans = medium.scan_all(&out.data_frames, 600, system.threads);
     let (restored, stats) = system.restore_native(&scans).expect("restore");
     let decode_time = t1.elapsed();
     assert_eq!(restored, dump, "round trip must be bit-exact");

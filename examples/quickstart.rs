@@ -51,7 +51,9 @@ fn main() {
 
     // 4. Simulate the decades: print → (storage) → scan with the medium's
     //    degradation model.
-    let scans = system.medium.scan_all(&out.data_frames, 2077);
+    let scans = system
+        .medium
+        .scan_all(&out.data_frames, 2077, system.threads);
 
     // 5. Restore natively (full Reed–Solomon error correction).
     let (restored, stats) = system.restore_native(&scans).expect("restore");

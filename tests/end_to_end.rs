@@ -18,7 +18,9 @@ fn tpch_dump_archives_and_restores_bit_exact() {
     assert!(dump.len() > 5_000);
     let system = tiny();
     let out = system.archive(&dump);
-    let scans = system.medium.scan_all(&out.data_frames, 4242);
+    let scans = system
+        .medium
+        .scan_all(&out.data_frames, 4242, system.threads);
     let (restored, _) = system.restore_native(&scans).expect("restore");
     assert_eq!(restored, dump);
 
@@ -34,7 +36,9 @@ fn all_schemes_survive_the_media_path() {
     for scheme in Scheme::ALL {
         let system = MicrOlonys { scheme, ..tiny() };
         let out = system.archive(&dump);
-        let scans = system.medium.scan_all(&out.data_frames, 7 + scheme as u64);
+        let scans = system
+            .medium
+            .scan_all(&out.data_frames, 7 + scheme as u64, system.threads);
         let (restored, _) = system.restore_native(&scans).expect("restore");
         assert_eq!(restored, dump, "scheme {scheme}");
     }

@@ -12,8 +12,8 @@
 use proptest::prelude::*;
 use std::sync::OnceLock;
 use ule::emblem::{
-    decode_stream, decode_stream_traced, encode_emblem, encode_stream_traced, EmblemHeader,
-    EmblemKind, StreamError,
+    decode_stream, decode_stream_traced, encode_emblem, encode_stream, EmblemHeader, EmblemKind,
+    StreamError,
 };
 use ule::fault::{FaultPlan, FrameLossFault, FrameReorderFault};
 use ule::media::Medium;
@@ -47,7 +47,7 @@ fn loss_below_budget_restores_bit_exact_per_group() {
     let out = sys.archive(&dump);
     let n = out.data_frames.len();
     assert!(n > 20, "want at least two groups, got {n} frames");
-    let scans = sys.medium.scan_all_with(&out.data_frames, 41, threads());
+    let scans = sys.medium.scan_all(&out.data_frames, 41, threads());
 
     // Three whole frames gone from group 0 (the outer code's exact
     // budget), plus one from the tail group.
@@ -68,7 +68,7 @@ fn loss_above_budget_fails_with_named_frames() {
     let sys = MicrOlonys::test_tiny().with_threads(threads());
     let dump = two_group_dump();
     let out = sys.archive(&dump);
-    let scans = sys.medium.scan_all_with(&out.data_frames, 42, threads());
+    let scans = sys.medium.scan_all(&out.data_frames, 42, threads());
 
     // Four frames from group 0: one past the any-3 budget.
     let victims = [1usize, 4, 9, 13];
@@ -94,7 +94,7 @@ fn shuffled_scans_restore_bit_exact() {
     let sys = MicrOlonys::test_tiny().with_threads(threads());
     let dump = two_group_dump();
     let out = sys.archive(&dump);
-    let scans = sys.medium.scan_all_with(&out.data_frames, 43, threads());
+    let scans = sys.medium.scan_all(&out.data_frames, 43, threads());
 
     // Full-severity reorder: every frame displaced (spliced-reel chaos).
     let shuffled = FaultPlan::single(FrameReorderFault).apply(&scans, 1.0, 99);
@@ -115,7 +115,7 @@ fn frame_spliced_from_another_archive_is_a_failed_scan() {
     let b = sys.archive(&ule::tpch::dump_for_scale(0.00005, 78));
     let mut frames = a.data_frames.clone();
     frames[1] = b.data_frames[1].clone();
-    let scans = sys.medium.scan_all_with(&frames, 45, threads());
+    let scans = sys.medium.scan_all(&frames, 45, threads());
 
     let (restored, _) = sys.restore_native(&scans).expect("spliced restore");
     assert_eq!(restored, dump);
@@ -131,7 +131,7 @@ fn loss_and_reorder_combined_stay_within_budget() {
     let sys = MicrOlonys::test_tiny().with_threads(threads());
     let dump = two_group_dump();
     let out = sys.archive(&dump);
-    let scans = sys.medium.scan_all_with(&out.data_frames, 44, threads());
+    let scans = sys.medium.scan_all(&out.data_frames, 44, threads());
     let n = scans.len();
 
     // The canonical frame-set models at a severity that keeps every
@@ -160,7 +160,7 @@ fn production_geometry_stream_loss_matrix() {
         let payload: Vec<u8> = (0..geom.payload_capacity() + 500)
             .map(|i| (i as u8).wrapping_mul(31).wrapping_add(5))
             .collect();
-        let images = encode_stream_traced(&geom, EmblemKind::Data, &payload, true, threads(), &off);
+        let images = encode_stream(&geom, EmblemKind::Data, &payload, true);
         assert_eq!(images.len(), 5, "{}", medium.name);
 
         let kept = drop_frames(&images, &[0, 2, 4]);

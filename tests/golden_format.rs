@@ -38,8 +38,8 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use ule::compress::Scheme;
-use ule::emblem::stream::stream_crc32;
-use ule::emblem::{encode_stream_traced, EmblemKind};
+use ule::emblem::stream::{stream_crc32, stream_emissions};
+use ule::emblem::{encode_stream, EmblemKind};
 use ule::gf256::crc::crc32;
 use ule::media::Medium;
 use ule::obs::Telemetry;
@@ -132,14 +132,7 @@ fn compute_observables(full: bool) -> String {
         if !full && medium.name != "test medium" {
             continue;
         }
-        let images = encode_stream_traced(
-            &geom,
-            EmblemKind::Data,
-            &archive,
-            true,
-            threads,
-            &Telemetry::off(),
-        );
+        let images = encode_stream(&geom, EmblemKind::Data, &archive, true);
         writeln!(out, "{key}.stream_crc32 = {:08x}", stream_crc32(&images)).unwrap();
 
         // Fault-injected scans under the medium's canonical decay scenario
@@ -158,7 +151,15 @@ fn compute_observables(full: bool) -> String {
             (true, false) => 4,
             _ => 2,
         };
-        let frames = medium.print_all_with(&images[..n.min(images.len())], threads);
+        let emissions = stream_emissions(
+            &geom,
+            EmblemKind::Data,
+            &archive,
+            true,
+            threads,
+            &Telemetry::off(),
+        );
+        let frames = medium.render(&emissions[..n.min(emissions.len())], threads);
         let faulted = medium.scan_with_faults(&frames, 2033, &plan, 0.5, threads);
         writeln!(out, "{key}.fault_plan = {}", plan.label()).unwrap();
         writeln!(out, "{key}.fault_scans = {}", faulted.len()).unwrap();
